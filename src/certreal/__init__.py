@@ -22,7 +22,6 @@ from .errors import (CertRealError, ConformanceError, DomainUndetermined,
 from .functions import atan_rat, cos, exp, ln, pi, sin, tan
 from .intervals import (ConformanceReport, Interval, IntervalResult,
                         conformance_check, eval_interval)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .lang import (DomainBudget, Query, elaborate, format_expr, parse,
                    parse_expression, parse_query, same_tree)
 from .prover import (Counterexample, NoCounterexampleBelowBound, Pi01Pred,
@@ -36,7 +35,7 @@ __all__ = [
     "ConformanceError", "ConformanceReport", "Counterexample",
     "DomainBudget", "DomainUndetermined", "DomainUnverifiable",
     "DomainViolation", "Exhausted", "ExponentOverflow", "Interval",
-    "IntervalResult", "InvalidCertificate", "KERNEL_BACKEND", "LangError",
+    "IntervalResult", "InvalidCertificate", "LangError",
     "NoCounterexampleBelowBound", "ParseError", "Pi01Pred", "ProofOutcome",
     "Proved", "Query", "Refuted", "RelationUnsupported",
     "ResourceExhausted", "TraceStep", "archimedean_bound",

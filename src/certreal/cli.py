@@ -114,7 +114,7 @@ def _print_trace(steps) -> None:
 
 def _cmd_prove(args) -> int:
     start_k = _start_precision(args.start_eps, args.max_prec)
-    backend = "approx" if args.backend == "creal" else args.backend
+    backend = prover.normalize_backend(args.backend)
     outcome = prover.prove(args.query, start_precision=start_k,
                            max_precision=args.max_prec,
                            backend=backend)

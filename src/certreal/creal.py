@@ -40,10 +40,7 @@ from .dyadic import (BigDyadic, ONE, ZERO, div_nearest, dyadic,
                      power_of_two, round_to)
 from .errors import InvalidCertificate, ResourceExhausted
 from .intervals import Interval
-
-# Hard ceiling on internal raw precision requests.  Anything over this
-# is a runaway budget, not a legitimate computation.
-PRECISION_LIMIT = 1 << 22
+from .kernels import PRECISION_LIMIT
 
 
 def grid_round(a: BigDyadic, k: int) -> BigDyadic:

@@ -175,6 +175,7 @@ _ZERO = BigDyadic(0, 0)
 ZERO = _ZERO
 ONE = BigDyadic(1, 0)
 TWO = BigDyadic(1, 1)
+MINUS_ONE = BigDyadic(-1, 0)
 
 
 def from_int(n: int) -> BigDyadic:
@@ -228,6 +229,16 @@ def round_floor(a: BigDyadic, k: int) -> BigDyadic:
 def round_ceil(a: BigDyadic, k: int) -> BigDyadic:
     """Round up (toward +inf) to the grid of spacing 2**-k."""
     return -round_floor(-a, k)
+
+
+def clamp_unit(v: BigDyadic) -> BigDyadic:
+    """v clamped to [-1, 1]: for an approximation of a sine or cosine,
+    a move toward the true value."""
+    if v > ONE:
+        return ONE
+    if v < MINUS_ONE:
+        return MINUS_ONE
+    return v
 
 
 def to_decimal_string(a: BigDyadic, digits: int) -> str:

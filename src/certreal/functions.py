@@ -2,10 +2,11 @@
 
 Each node follows the same recipe: derive coarse magnitude bounds from
 a cheap approximation of the argument, reduce the argument into the
-convergence range of a fixed-point series kernel, run the kernel with
-an explicit term cap and working width, and undo the reduction while
-accounting for every rounding in an error budget that lands the final
-result within 2**-j of the true value.
+convergence range of a fixed-point series kernel, evaluate it through
+the shared series layer (kernels.py, which owns term caps and working
+widths), and undo the reduction while accounting for every rounding in
+an error budget that lands the final result within 2**-j of the true
+value.
 
 Everything is integer arithmetic; there is no float anywhere on these
 paths, so results are deterministic bit for bit.
@@ -17,120 +18,11 @@ import threading
 
 from . import creal as _cr
 from . import kernels
-from .creal import (ApartnessCertificate, CReal, PRECISION_LIMIT, _Scale2,
-                    _Sub, const, lim, series_sum)
-from .dyadic import BigDyadic, ONE, div_nearest, dyadic
+from .creal import (ApartnessCertificate, CReal, _Scale2, _Sub, const, lim,
+                    series_sum)
+from .dyadic import BigDyadic, ONE, clamp_unit, div_nearest, dyadic
 from .errors import InvalidCertificate, ResourceExhausted
-
-_MINUS_ONE = dyadic(-1)
-
-
-def _budget(t: int) -> int:
-    if t > PRECISION_LIMIT:
-        raise ResourceExhausted(f"working precision {t} over the limit")
-    return t
-
-
-# -- term caps ------------------------------------------------------------
-#
-# Each cap is the number of series iterations after which the exact
-# remainder is at most 2**-(t+1); the kernels may stop earlier on term
-# decay.  All searches are exact integer loops.
-
-def _cap_exp(t: int) -> int:
-    # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
-    n, p5, p8 = 0, 1, 1
-    bound = 1 << (t + 2)
-    while p5 * bound > p8:
-        n += 1
-        p5 *= 5
-        p8 *= 8 * n
-    return n
-
-
-def _cap_sin(t: int) -> int:
-    # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
-    n, p9, pf = 0, 9, 8
-    bound = 1 << (t + 1)
-    while p9 * bound > pf:
-        n += 1
-        p9 *= 81
-        pf *= 64 * (2 * n) * (2 * n + 1)
-    return n
-
-
-def _cap_cos(t: int) -> int:
-    n, p9, pf = 0, 1, 1
-    bound = 1 << (t + 1)
-    while p9 * bound > pf:
-        n += 1
-        p9 *= 81
-        pf *= 64 * (2 * n - 1) * (2 * n)
-    return n
-
-
-def _cap_atan(t: int, p: int, q: int) -> int:
-    pa = abs(p)
-    if pa == 0:
-        return 1
-    n, pn, pd = 0, pa, q
-    bound = 1 << (t + 1)
-    while pn * bound > pd * (2 * n + 1):
-        n += 1
-        pn *= pa * pa
-        pd *= q * q
-    return n + 1
-
-
-def _cap_ln1p(t: int) -> int:
-    # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
-    n, p5, p8 = 0, 5, 8
-    bound = 1 << (t + 4)
-    while p5 * bound > p8 * 3 * (n + 1):
-        n += 1
-        p5 *= 5
-        p8 *= 8
-    return n + 1
-
-
-def _to_scaled(d: BigDyadic, w: int) -> int:
-    m, e = d.mantissa, d.exponent
-    shift = e + w
-    if shift >= 0:
-        return m << shift
-    return div_nearest(m, 1 << -shift)
-
-
-# -- kernel wrappers: dyadic in, dyadic out, error <= 2**-t ---------------
-
-def _eval_exp_series(r: BigDyadic, t: int) -> BigDyadic:
-    cap = _cap_exp(t)
-    w = _budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.exp_series(_to_scaled(r, w), w, cap), -w)
-
-
-def _eval_sin_series(r: BigDyadic, t: int) -> BigDyadic:
-    cap = _cap_sin(t)
-    w = _budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.sin_series(_to_scaled(r, w), w, cap), -w)
-
-
-def _eval_cos_series(r: BigDyadic, t: int) -> BigDyadic:
-    cap = _cap_cos(t)
-    w = _budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.cos_series(_to_scaled(r, w), w, cap), -w)
-
-
-def _eval_atan_series(p: int, q: int, t: int) -> BigDyadic:
-    cap = _cap_atan(t, p, q)
-    w = _budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.atan_series(p, q, w, cap), -w)
-
-
-def _eval_ln1p_series(v: BigDyadic, t: int) -> BigDyadic:
-    cap = _cap_ln1p(t)
-    w = _budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.ln1p_series(_to_scaled(v, w), w, cap), -w)
+from .kernels import budget
 
 
 class _Exp(CReal):
@@ -149,10 +41,10 @@ class _Exp(CReal):
         a = (abs(q0) + ONE).ceil_log2()
         m = a + 1
         amp = m + eb + 1
-        ts = _budget(j + 4 + amp)
+        ts = budget(j + 4 + amp)
         xv = self.x._raw(ts)
         r = xv.scale2(-m)
-        v = _eval_exp_series(r, ts)
+        v = kernels.exp_within(r, ts)
         # |v - exp(true r)| <= 2**-ts + 2 * 2**-(ts+m) <= 2**-(ts-2).
         # Each squaring at grid ts adds half an ulp; the total error
         # after m squarings is below 2**amp * (2**-(ts-2) + 2**-ts)
@@ -182,7 +74,7 @@ class _SinCos(CReal):
         # triple-angle maps have derivative bounded by 9 on [-1, 1],
         # slightly more before clamping) plus half an ulp
         amp = 4 * m + 1
-        ts = _budget(j + 4 + amp)
+        ts = budget(j + 4 + amp)
         xv = self.x._raw(ts)
         if m == 0:
             r = xv
@@ -195,27 +87,17 @@ class _SinCos(CReal):
             else:
                 r = dyadic(div_nearest(mm, p3 << -shift), -g)
         if self.want_sin:
-            v = _eval_sin_series(r, ts)
+            v = kernels.sin_within(r, ts)
         else:
-            v = _eval_cos_series(r, ts)
+            v = kernels.cos_within(r, ts)
         for _ in range(m):
-            v = _clamp_unit(v)
+            v = clamp_unit(v)
             v3 = v * v * v
             if self.want_sin:
                 v = _cr.grid_round(v.mul_int(3) - v3.mul_int(4), ts)
             else:
                 v = _cr.grid_round(v3.mul_int(4) - v.mul_int(3), ts)
-        return _cr.grid_round(_clamp_unit(v), j + 1)
-
-
-def _clamp_unit(v: BigDyadic) -> BigDyadic:
-    # true sine/cosine values lie in [-1, 1], so clamping the iterate
-    # can only move it toward the true value
-    if v > ONE:
-        return ONE
-    if v < _MINUS_ONE:
-        return _MINUS_ONE
-    return v
+        return _cr.grid_round(clamp_unit(v), j + 1)
 
 
 class _Ln(CReal):
@@ -243,14 +125,14 @@ class _Ln(CReal):
         e = x0.exponent + mb - 1
         if x0.scale2(-e) >= dyadic(11, -3):
             e += 1
-        p2 = _budget(j + 6 + max(0, -e))
+        p2 = budget(j + 6 + max(0, -e))
         xv = self.x._raw(p2)
         tv = xv.scale2(-e) - ONE
         # series argument error <= 2**-(j+6); d ln(1+t)/dt <= 4 on the
         # window, so the argument contributes at most 2**-(j+4)
-        v = _eval_ln1p_series(tv, j + 5)
+        v = kernels.ln1p_within(tv, j + 5)
         if e != 0:
-            tl = _budget(j + 4 + abs(e).bit_length())
+            tl = budget(j + 4 + abs(e).bit_length())
             v = v + _ln2()._raw(tl).mul_int(e)
         return _cr.grid_round(v, j + 1)
 
@@ -261,7 +143,7 @@ class _Ln2(CReal):
     __slots__ = ()
 
     def _compute(self, j: int) -> BigDyadic:
-        return -_eval_ln1p_series(dyadic(-1, -1), j)
+        return -kernels.ln1p_within(dyadic(-1, -1), j)
 
 
 _LN2_LOCK = threading.Lock()
@@ -292,7 +174,7 @@ class _AtanRat(CReal):
         self.p, self.q = p, q
 
     def _compute(self, j: int) -> BigDyadic:
-        return _cr.grid_round(_eval_atan_series(self.p, self.q, j + 2),
+        return _cr.grid_round(kernels.atan_within(self.p, self.q, j + 2),
                               j + 1)
 
 

@@ -1,9 +1,11 @@
 """Outward-rounded dyadic interval arithmetic.
 
 This is the package's second, independent evaluation backend.  It
-shares the raw series kernels with the approximation backend but none
-of the surrounding plumbing: arguments here are exact dyadic interval
-endpoints, reductions work on exact values, and all rounding is
+shares the series layer (kernels.py: term caps, working widths and the
+fixed-point kernels, with the contract "dyadic in, dyadic within 2**-t
+out") with the approximation backend and nothing above it: arguments
+here are exact dyadic interval endpoints, reductions work on exact
+values with their own budgets, and all rounding of the enclosures is
 directed outward, so every produced interval provably contains the
 exact value of the expression.
 
@@ -18,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .dyadic import (BigDyadic, ZERO, ONE, dyadic, div_nearest, power_of_two,
-                     round_ceil, round_floor)
-from .errors import DomainUndetermined, DomainViolation, ResourceExhausted
-
-_MINUS_ONE = dyadic(-1)
-
-# Hard cap on working precision, mirroring the approximation backend.
-_PRECISION_LIMIT = 1 << 22
+from .dyadic import (BigDyadic, ONE, clamp_unit, dyadic, div_nearest,
+                     power_of_two, round_ceil, round_floor)
+from .errors import DomainUndetermined, DomainViolation
+from .kernels import budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,108 +122,9 @@ def idiv(a: Interval, b: Interval, w: int) -> Interval:
 # -- certified point evaluations of the transcendental functions ---------
 #
 # Each _*_point helper takes an exact dyadic argument and a target t and
-# returns a value within 2**-t of the true function value.  They use the
-# same series kernels as the approximation backend but carry their own
+# returns a value within 2**-t of the true function value.  They reach
+# the series through the shared kernels layer but carry their own
 # reduction and budget logic over exact arguments.
-
-def _term_cap_exp(t: int) -> int:
-    # remainder after N terms of exp at |r| <= 5/8 is < 2 * (5/8)**N / N!
-    n, p5, p8 = 0, 1, 1
-    bound = 1 << (t + 2)
-    while p5 * bound > p8:
-        n += 1
-        p5 *= 5
-        p8 *= 8 * n
-    return n
-
-
-def _term_cap_sin(t: int) -> int:
-    # first omitted term at |r| <= 9/8 is (9/8)**(2N+1) / (2N+1)!
-    n, p9, p8f = 0, 9, 8
-    bound = 1 << (t + 1)
-    while p9 * bound > p8f:
-        n += 1
-        p9 *= 81
-        p8f *= 64 * (2 * n) * (2 * n + 1)
-    return n
-
-
-def _term_cap_cos(t: int) -> int:
-    n, p9, p8f = 0, 1, 1
-    bound = 1 << (t + 1)
-    while p9 * bound > p8f:
-        n += 1
-        p9 *= 81
-        p8f *= 64 * (2 * n - 1) * (2 * n)
-    return n
-
-
-def _term_cap_atan(t: int, p: int, q: int) -> int:
-    # first omitted term is |u|**(2N+1) / (2N+1), u = p/q
-    pa = abs(p)
-    if pa == 0:
-        return 1
-    n = 0
-    pn, pd = pa, q
-    bound = 1 << (t + 1)
-    while pn * bound > pd * (2 * n + 1):
-        n += 1
-        pn *= pa * pa
-        pd *= q * q
-    return n + 1
-
-
-def _term_cap_ln1p(t: int) -> int:
-    # remainder after N terms at |t| <= 5/8 is < (5/8)**(N+1) * 8/3 / (N+1)
-    n, p5, p8 = 0, 5, 8
-    bound = 1 << (t + 4)
-    while p5 * bound > p8 * 3 * (n + 1):
-        n += 1
-        p5 *= 5
-        p8 *= 8
-    return n + 1
-
-
-def _to_scaled(d: BigDyadic, w: int) -> int:
-    """Nearest integer to d * 2**w; error at most half an ulp."""
-    m, e = d.mantissa, d.exponent
-    shift = e + w
-    if shift >= 0:
-        return m << shift
-    return div_nearest(m, 1 << -shift)
-
-
-def _check_budget(t: int) -> int:
-    if t > _PRECISION_LIMIT:
-        raise ResourceExhausted(f"interval working precision {t} over limit")
-    return t
-
-
-def _series_exp(r: BigDyadic, t: int) -> BigDyadic:
-    """exp(r) within 2**-t for |r| <= 5/8."""
-    cap = _term_cap_exp(t)
-    w = _check_budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.exp_series(_to_scaled(r, w), w, cap), -w)
-
-def _series_sin(r: BigDyadic, t: int) -> BigDyadic:
-    cap = _term_cap_sin(t)
-    w = _check_budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.sin_series(_to_scaled(r, w), w, cap), -w)
-
-def _series_cos(r: BigDyadic, t: int) -> BigDyadic:
-    cap = _term_cap_cos(t)
-    w = _check_budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.cos_series(_to_scaled(r, w), w, cap), -w)
-
-def _series_atan(p: int, q: int, t: int) -> BigDyadic:
-    cap = _term_cap_atan(t, p, q)
-    w = _check_budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.atan_series(p, q, w, cap), -w)
-
-def _series_ln1p(v: BigDyadic, t: int) -> BigDyadic:
-    cap = _term_cap_ln1p(t)
-    w = _check_budget(t + 2 + (8 * cap + 16).bit_length())
-    return dyadic(kernels.ln1p_series(_to_scaled(v, w), w, cap), -w)
 
 
 def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
@@ -238,8 +137,8 @@ def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
     # halve until the reduced argument is at most 1/2 (exactly: d is exact)
     m = max(0, d.ceil_log2() + 1)
     amp = m + e_bits + 1
-    ts = _check_budget(t + 3 + amp)
-    v = _series_exp(d.scale2(-m), ts)
+    ts = budget(t + 3 + amp)
+    v = kernels.exp_within(d.scale2(-m), ts)
     # m squarings; total amplification of the series error plus the
     # per-squaring roundings stays under 2**amp ulps of 2**-ts
     for _ in range(m):
@@ -256,24 +155,6 @@ def _round_mid(a: BigDyadic, k: int) -> BigDyadic:
     return dyadic(div_nearest(m, 1 << (-k - e)), -k)
 
 
-def _clamp_unit(v: BigDyadic) -> BigDyadic:
-    # sin/cos iterates have true values in [-1, 1]; clamping the
-    # approximation can only shrink its error
-    if v > ONE:
-        return ONE
-    if v < _MINUS_ONE:
-        return _MINUS_ONE
-    return v
-
-
-def _sin_point(d: BigDyadic, t: int) -> BigDyadic:
-    return _sincos_point(d, t, want_sin=True)
-
-
-def _cos_point(d: BigDyadic, t: int) -> BigDyadic:
-    return _sincos_point(d, t, want_sin=False)
-
-
 def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
     # reduce |d| under 1 by dividing by 3**m, evaluate the series, then
     # walk back up with the triple-angle identities
@@ -284,7 +165,7 @@ def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
         m += 1
         p3 *= 3
     amp = 4 * m + 1
-    ts = _check_budget(t + 3 + amp)
+    ts = budget(t + 3 + amp)
     if m == 0:
         r = d
     else:
@@ -296,15 +177,15 @@ def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
             r = dyadic(div_nearest(mm << shift, p3), -g)
         else:
             r = dyadic(div_nearest(mm, p3 << -shift), -g)
-    v = _series_sin(r, ts) if want_sin else _series_cos(r, ts)
+    v = kernels.sin_within(r, ts) if want_sin else kernels.cos_within(r, ts)
     for _ in range(m):
-        v = _clamp_unit(v)
+        v = clamp_unit(v)
         v3 = v * v * v
         if want_sin:
             v = _round_mid(v.mul_int(3) - v3.mul_int(4), ts)
         else:
             v = _round_mid(v3.mul_int(4) - v.mul_int(3), ts)
-    return _clamp_unit(v)
+    return clamp_unit(v)
 
 
 _LN2_CACHE: dict = {}
@@ -314,7 +195,7 @@ def _ln2_point(t: int) -> BigDyadic:
     """ln 2 within 2**-t."""
     v = _LN2_CACHE.get(t)
     if v is None:
-        v = -_series_ln1p(dyadic(-1, -1), t)
+        v = -kernels.ln1p_within(dyadic(-1, -1), t)
         _LN2_CACHE[t] = v
     return v
 
@@ -333,19 +214,30 @@ def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
         u = u.scale2(-1)
     tv = u - ONE
     if ebase == 0:
-        return _series_ln1p(tv, t + 1)
+        return kernels.ln1p_within(tv, t + 1)
     tl = t + 2 + abs(ebase).bit_length()
-    return _series_ln1p(tv, t + 2) + _ln2_point(tl).mul_int(ebase)
+    return kernels.ln1p_within(tv, t + 2) + _ln2_point(tl).mul_int(ebase)
 
 
 def _pi_point(t: int) -> BigDyadic:
     """pi = 16 atan(1/5) - 4 atan(1/239), within 2**-t."""
-    a = _series_atan(1, 5, t + 5)
-    b = _series_atan(1, 239, t + 5)
+    a = kernels.atan_within(1, 5, t + 5)
+    b = kernels.atan_within(1, 239, t + 5)
     return a.scale2(4) - b.scale2(2)
 
 
 # -- expression evaluation ------------------------------------------------
+
+def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
+    # sin and cos are 1-Lipschitz: the value at the midpoint, widened by
+    # the radius, encloses the image of a
+    r = power_of_two(-(w + 2))
+    v = _sincos_point(a.midpoint(), w + 2, want_sin)
+    rad = a.radius()
+    # |sin|, |cos| <= 1: clipping is sound and keeps tan stable
+    return Interval(clamp_unit(round_floor(v - rad - r, w)),
+                    clamp_unit(round_ceil(v + rad + r, w)))
+
 
 def _eval(e, w: int) -> Interval:
     from . import lang
@@ -375,7 +267,9 @@ def _eval(e, w: int) -> Interval:
             return idiv(a, b, w)
         raise AssertionError(f"unknown operator {e.op!r}")
     if isinstance(e, lang.Call):
-        a = _eval(e.arg, w)
+        # tan is the quotient of sine and cosine enclosures taken from one
+        # enclosure of its argument, four bits finer
+        a = _eval(e.arg, w + 4 if e.fn == "tan" else w)
         if e.fn == "exp":
             return Interval(
                 round_floor(_exp_point(a.lo, w + 2) - r, w),
@@ -392,20 +286,10 @@ def _eval(e, w: int) -> Interval:
                 round_floor(_ln_point(a.lo, w + 2) - r, w),
                 round_ceil(_ln_point(a.hi, w + 2) + r, w))
         if e.fn in ("sin", "cos"):
-            mid = a.midpoint()
-            rad = a.radius()
-            f = _sin_point if e.fn == "sin" else _cos_point
-            v = f(mid, w + 2)
-            raw = Interval(round_floor(v - rad - r, w),
-                           round_ceil(v + rad + r, w))
-            # |sin|, |cos| <= 1: clipping is sound and keeps tan stable
-            lo = max(raw.lo, _MINUS_ONE)
-            hi = min(raw.hi, ONE)
-            return Interval(lo, hi)
+            return _sincos_enclosure(a, e.fn == "sin", w)
         if e.fn == "tan":
-            # quotient of the sine and cosine enclosures; contains tan
-            si = _eval(lang.Call("sin", e.arg, e.span), w + 4)
-            co = _eval(lang.Call("cos", e.arg, e.span), w + 4)
+            si = _sincos_enclosure(a, True, w + 4)
+            co = _sincos_enclosure(a, False, w + 4)
             if co.contains_zero():
                 raise DomainUndetermined(
                     w, "cos enclosure for tan does not exclude 0")

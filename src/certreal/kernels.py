@@ -1,31 +1,270 @@
-"""Series-kernel backend selection.
+"""The series layer shared by both evaluation backends.
 
-Imports the compiled Cython kernels when they are available and falls
-back to the pure-Python twins otherwise.  Setting the environment
-variable CERTREAL_PURE_KERNELS=1 forces the pure-Python backend, which
-is how the equivalence tests and benchmarks get at both.
+Every transcendental in the package reaches its error bound through one
+step: pick a term cap and a working width, run a fixed-point series
+kernel, and read the result back as a dyadic.  This module is that
+step, written once.  The approximation backend (functions.py) and the
+interval backend (intervals.py) both call it; argument reduction and
+reconstruction stay with each backend.
 
-The two backends are bit-identical by construction; nothing downstream
-may depend on which one is active except for speed.
+Kernels
+-------
+``exp_series``, ``sin_series``, ``cos_series``, ``atan_series`` and
+``ln1p_series`` are the inner loops.  All arguments and results are
+plain integers denoting values scaled by 2**w ("ulp" below means
+2**-w).  Each kernel runs at most ``cap`` iterations and may stop
+earlier, once the running term has decayed to at most one ulp.  Let m
+be the number of iterations actually executed.  The returned integer S
+satisfies
+
+    |S * 2**-w  -  f(args)|  <=  (8*m + 16) * 2**-w  +  T
+
+where T is the exact tail of the series after ``cap`` terms (zero if
+the kernel stopped on term decay, in which case the remaining tail is
+already inside the ulp blanket).
+
+Argument ranges are preconditions, not checked here: exp needs
+|r| <= 5/8, sin and cos need |r| <= 9/8, atan needs |p/q| <= 1/2 with
+q > 0, and ln1p needs |t| <= 5/8.  The range bounds make every term
+ratio at most ~2/3, which is what justifies stopping on term decay.
+
+Wrappers
+--------
+``exp_within``, ``sin_within``, ``cos_within``, ``atan_within`` and
+``ln1p_within`` take a dyadic argument in the kernel's range (atan: the
+exact rational p/q) and a target t, and return a dyadic within 2**-t of
+the function value.  The cap makes the analytic tail at most
+2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
+and the half-ulp rounding of the argument below 2**-(t+1) as well.
 """
 
-import os
+from .dyadic import BigDyadic, div_nearest, dyadic
+from .errors import ResourceExhausted
 
-from . import _kernels_py
+# Hard ceiling on any precision request or working width, in bits.
+# Anything over it is a runaway budget, not a legitimate computation.
+PRECISION_LIMIT = 1 << 22
 
-BACKEND = "python"
-_impl = _kernels_py
 
-if os.environ.get("CERTREAL_PURE_KERNELS") != "1":
-    try:
-        from . import _kernels_c  # type: ignore[attr-defined]
-        _impl = _kernels_c
-        BACKEND = "compiled"
-    except ImportError:
-        pass
+def budget(t: int) -> int:
+    """t itself, or ResourceExhausted if it is over PRECISION_LIMIT."""
+    if t > PRECISION_LIMIT:
+        raise ResourceExhausted(f"working precision {t} over the limit")
+    return t
 
-exp_series = _impl.exp_series
-sin_series = _impl.sin_series
-cos_series = _impl.cos_series
-atan_series = _impl.atan_series
-ln1p_series = _impl.ln1p_series
+
+# -- kernels --------------------------------------------------------------
+
+def exp_series(r: int, w: int, cap: int) -> int:
+    # sum of r**i / i!, signed term recurrence; floor steps cost <= 2 ulps
+    # per iteration, covered by the shared blanket.
+    acc = 1 << w
+    term = 1 << w
+    i = 0
+    while i < cap:
+        i += 1
+        term = ((term * r) >> w) // i
+        if -1 <= term <= 1:
+            break
+        acc += term
+    return acc
+
+
+def sin_series(r: int, w: int, cap: int) -> int:
+    # sin is odd: work on |r| and put the sign back at the end.
+    neg = r < 0
+    if neg:
+        r = -r
+    r2 = (r * r) >> w
+    term = r
+    acc = r
+    i = 0
+    sign = 1
+    while i < cap:
+        term = (term * r2) >> w
+        term //= (2 * i + 2) * (2 * i + 3)
+        i += 1
+        sign = -sign
+        if term <= 1:
+            break
+        acc += sign * term
+    return -acc if neg else acc
+
+
+def cos_series(r: int, w: int, cap: int) -> int:
+    # cos is even: drop the sign of r up front.
+    if r < 0:
+        r = -r
+    r2 = (r * r) >> w
+    term = 1 << w
+    acc = term
+    i = 0
+    sign = 1
+    while i < cap:
+        term = (term * r2) >> w
+        term //= (2 * i + 1) * (2 * i + 2)
+        i += 1
+        sign = -sign
+        if term <= 1:
+            break
+        acc += sign * term
+    return acc
+
+
+def atan_series(p: int, q: int, w: int, cap: int) -> int:
+    # arctan(p/q) for an exact rational argument: powers are carried as
+    # scaled integers divided by the exact q**2, so no per-term rational
+    # blowup and still one floor per operation.  atan is odd: work on
+    # |p| and put the sign back at the end.
+    neg = p < 0
+    if neg:
+        p = -p
+    num2 = p * p
+    den2 = q * q
+    power = (p << w) // q
+    acc = power
+    i = 0
+    sign = 1
+    while i < cap:
+        power = (power * num2) // den2
+        i += 1
+        sign = -sign
+        if power <= 1:
+            break
+        acc += sign * (power // (2 * i + 1))
+    return -acc if neg else acc
+
+
+def ln1p_series(t: int, w: int, cap: int) -> int:
+    # log(1 + t) = sum of (-1)**(i+1) t**i / i.  Worked on |t| with the
+    # per-term sign reconstructed from the sign of t.
+    ta = abs(t)
+    st = 1 if t >= 0 else -1
+    power = ta
+    acc = st * ta
+    i = 1
+    while i < cap:
+        power = (power * ta) >> w
+        i += 1
+        if power <= 1:
+            break
+        if st > 0:
+            contrib = power // i
+            acc += -contrib if (i % 2 == 0) else contrib
+        else:
+            acc -= power // i
+    return acc
+
+
+# -- term caps ------------------------------------------------------------
+#
+# Each cap is the number of series iterations after which the exact
+# remainder is at most 2**-(t+1) over the kernel's whole argument range.
+# All searches are exact integer loops.
+
+def _cap_exp(t: int) -> int:
+    # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
+    n, p5, p8 = 0, 1, 1
+    bound = 1 << (t + 2)
+    while p5 * bound > p8:
+        n += 1
+        p5 *= 5
+        p8 *= 8 * n
+    return n
+
+
+def _cap_sin(t: int) -> int:
+    # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
+    n, p9, pf = 0, 9, 8
+    bound = 1 << (t + 1)
+    while p9 * bound > pf:
+        n += 1
+        p9 *= 81
+        pf *= 64 * (2 * n) * (2 * n + 1)
+    return n
+
+
+def _cap_cos(t: int) -> int:
+    # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
+    n, p9, pf = 0, 1, 1
+    bound = 1 << (t + 1)
+    while p9 * bound > pf:
+        n += 1
+        p9 *= 81
+        pf *= 64 * (2 * n - 1) * (2 * n)
+    return n
+
+
+def _cap_atan(t: int, p: int, q: int) -> int:
+    # first omitted term is |u|**(2n+1) / (2n+1), u = p/q
+    pa = abs(p)
+    if pa == 0:
+        return 1
+    n, pn, pd = 0, pa, q
+    bound = 1 << (t + 1)
+    while pn * bound > pd * (2 * n + 1):
+        n += 1
+        pn *= pa * pa
+        pd *= q * q
+    return n + 1
+
+
+def _cap_ln1p(t: int) -> int:
+    # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
+    n, p5, p8 = 0, 5, 8
+    bound = 1 << (t + 4)
+    while p5 * bound > p8 * 3 * (n + 1):
+        n += 1
+        p5 *= 5
+        p8 *= 8
+    return n + 1
+
+
+# -- wrappers: dyadic in, dyadic within 2**-t out -------------------------
+
+def _to_scaled(d: BigDyadic, w: int) -> int:
+    """Nearest integer to d * 2**w; error at most half an ulp."""
+    m, e = d.mantissa, d.exponent
+    shift = e + w
+    if shift >= 0:
+        return m << shift
+    return div_nearest(m, 1 << -shift)
+
+
+def _width(t: int, cap: int) -> int:
+    return budget(t + 2 + (8 * cap + 16).bit_length())
+
+
+def exp_within(r: BigDyadic, t: int) -> BigDyadic:
+    """exp(r) within 2**-t, for |r| <= 5/8."""
+    cap = _cap_exp(t)
+    w = _width(t, cap)
+    return dyadic(exp_series(_to_scaled(r, w), w, cap), -w)
+
+
+def sin_within(r: BigDyadic, t: int) -> BigDyadic:
+    """sin(r) within 2**-t, for |r| <= 9/8."""
+    cap = _cap_sin(t)
+    w = _width(t, cap)
+    return dyadic(sin_series(_to_scaled(r, w), w, cap), -w)
+
+
+def cos_within(r: BigDyadic, t: int) -> BigDyadic:
+    """cos(r) within 2**-t, for |r| <= 9/8."""
+    cap = _cap_cos(t)
+    w = _width(t, cap)
+    return dyadic(cos_series(_to_scaled(r, w), w, cap), -w)
+
+
+def atan_within(p: int, q: int, t: int) -> BigDyadic:
+    """arctan(p/q) within 2**-t, for q > 0 and |p/q| <= 1/2."""
+    cap = _cap_atan(t, p, q)
+    w = _width(t, cap)
+    return dyadic(atan_series(p, q, w, cap), -w)
+
+
+def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:
+    """ln(1 + v) within 2**-t, for |v| <= 5/8."""
+    cap = _cap_ln1p(t)
+    w = _width(t, cap)
+    return dyadic(ln1p_series(_to_scaled(v, w), w, cap), -w)

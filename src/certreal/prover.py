@@ -42,6 +42,19 @@ DEFAULT_MAX_PRECISION = 4096
 DEFAULT_PI01_MAX_PRECISION = 256
 
 
+def normalize_backend(backend: str) -> str:
+    """The canonical name of a prover backend.
+
+    "creal" is an accepted alias of "approx": the approximation backend
+    lives in the creal module and is sometimes named after it.
+    """
+    if backend == "creal":
+        return "approx"
+    if backend not in ("approx", "interval", "both"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend
+
+
 def prove(query, *, start_precision: int = 1,
           max_precision: int = DEFAULT_MAX_PRECISION,
           backend: str = "approx",
@@ -58,12 +71,7 @@ def prove(query, *, start_precision: int = 1,
         query = lang.parse_query(query)
     if not isinstance(query, lang.Query):
         raise TypeError("prove expects a comparison query")
-    if backend == "creal":
-        # accepted alias: the approximation backend lives in the creal
-        # module and is sometimes named after it
-        backend = "approx"
-    if backend not in ("approx", "interval", "both"):
-        raise ValueError(f"unknown backend {backend!r}")
+    backend = normalize_backend(backend)
 
     lhs_c = lang.elaborate(query.lhs, domain_budget)
     rhs_c = lang.elaborate(query.rhs, domain_budget)

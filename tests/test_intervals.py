@@ -82,9 +82,11 @@ def test_point_evaluators_honest(v, t):
     lo, hi = oracles.exp_bounds(xf, t + 12)
     assert lo - tol <= intervals._exp_point(x, t).as_fraction() <= hi + tol
     slo, shi = oracles.sin_bounds(xf, t + 12)
-    assert slo - tol <= intervals._sin_point(x, t).as_fraction() <= shi + tol
+    sv = intervals._sincos_point(x, t, want_sin=True)
+    assert slo - tol <= sv.as_fraction() <= shi + tol
     clo, chi = oracles.cos_bounds(xf, t + 12)
-    assert clo - tol <= intervals._cos_point(x, t).as_fraction() <= chi + tol
+    cv = intervals._sincos_point(x, t, want_sin=False)
+    assert clo - tol <= cv.as_fraction() <= chi + tol
     if xf > 0:
         llo, lhi = oracles.ln_bounds(xf, t + 12)
         assert llo - tol <= intervals._ln_point(x, t).as_fraction() \
@@ -169,3 +171,27 @@ def test_conformance_check_catches_disagreement(monkeypatch):
     monkeypatch.setattr(creal, "grid_round", shifted)
     rep = conformance_check(lang.parse_expression("1 + 2 * 3"), 20)
     assert not rep.passed
+
+
+def test_tan_evaluates_its_argument_once(monkeypatch):
+    # each nesting level adds the same three nodes (tan, /, 4), so the
+    # number of _eval calls must grow by a constant step; evaluating the
+    # argument of tan more than once makes it grow geometrically instead
+    honest = intervals._eval
+    calls = 0
+
+    def counting(e, w):
+        nonlocal calls
+        calls += 1
+        return honest(e, w)
+
+    monkeypatch.setattr(intervals, "_eval", counting)
+    counts = []
+    text = "1"
+    for _ in range(6):
+        text = f"tan({text}) / 4"
+        calls = 0
+        assert eval_interval(lang.parse_expression(text), 20).converged
+        counts.append(calls)
+    steps = {b - a for a, b in zip(counts, counts[1:])}
+    assert steps == {3}, counts

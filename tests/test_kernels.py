@@ -1,23 +1,16 @@
-"""Series kernels: ulp-level honesty against the rational oracles, and
-bit-equivalence of the pure and compiled implementations."""
+"""The series layer: kernel ulp-level honesty against the rational
+oracles, and the wrappers' "within 2**-t" contract over each kernel's
+whole argument range."""
 
-import json
-import os
-import subprocess
-import sys
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import certreal
 import oracles
-from certreal import _kernels_py, kernels
-
-try:
-    from certreal import _kernels_c
-except ImportError:
-    _kernels_c = None
+from certreal import kernels
+from certreal.dyadic import dyadic
 
 widths = st.integers(20, 400)
 caps = st.integers(1, 80)
@@ -33,7 +26,7 @@ def _blanket(cap: int, w: int) -> Fraction:
                                   max_denominator=1 << 24))
 def test_exp_kernel_honest(w, cap, x):
     r = round(x * (1 << w))
-    s = _kernels_py.exp_series(r, w, cap)
+    s = kernels.exp_series(r, w, cap)
     rr = Fraction(r, 1 << w)
     lo, hi = oracles.exp_bounds(rr, w + 10)
     # tail after cap terms: |r|**cap / cap! / (1 - 5/8), rounded up to 3
@@ -58,8 +51,8 @@ def test_sin_cos_kernels_honest(w, cap, x):
     tail_sin = abs(rr) ** (2 * cap + 1) / fact
     tail_cos = abs(rr) ** (2 * cap) * (2 * cap + 1) / fact
     for series, bounds, tail in (
-            (_kernels_py.sin_series, oracles.sin_bounds, tail_sin),
-            (_kernels_py.cos_series, oracles.cos_bounds, tail_cos)):
+            (kernels.sin_series, oracles.sin_bounds, tail_sin),
+            (kernels.cos_series, oracles.cos_bounds, tail_cos)):
         s = series(r, w, cap)
         lo, hi = bounds(rr, w + 10)
         err = _blanket(cap, w) + tail + (hi - lo)
@@ -70,7 +63,7 @@ def test_sin_cos_kernels_honest(w, cap, x):
 @given(widths, caps, st.integers(1, 1 << 16))
 def test_atan_kernel_honest(w, cap, q):
     for p in (-(q // 2), q // 3, q // 2):
-        s = _kernels_py.atan_series(p, q, w, cap)
+        s = kernels.atan_series(p, q, w, cap)
         lo, hi = oracles.atan_bounds(p, q, w + 10)
         x = Fraction(abs(p), q)
         tail = x ** (2 * cap + 1) / (2 * cap + 1)
@@ -85,98 +78,62 @@ def test_atan_kernel_honest(w, cap, q):
 def test_ln1p_kernel_honest(w, cap, x):
     t = round(x * (1 << w))
     tt = Fraction(t, 1 << w)
-    s = _kernels_py.ln1p_series(t, w, cap)
+    s = kernels.ln1p_series(t, w, cap)
     lo, hi = oracles._ln_series(tt, w + 10)
     tail = 3 * abs(tt) ** (cap + 1) / (cap + 1)
     err = _blanket(cap, w) + tail + (hi - lo)
     assert abs(Fraction(s, 1 << w) - (lo + hi) / 2) <= err
 
 
-def test_selected_backend_is_a_known_twin():
-    assert kernels.BACKEND in ("python", "compiled")
-    src = _kernels_py if kernels.BACKEND == "python" else _kernels_c
-    for name in ("exp_series", "sin_series", "cos_series",
-                 "atan_series", "ln1p_series"):
-        assert getattr(kernels, name) is getattr(src, name)
-
-
-@pytest.mark.skipif(_kernels_c is None, reason="compiled kernels not built")
-@settings(max_examples=40)
-@given(widths, caps, st.integers(-(5 << 60), 5 << 60), st.data())
-def test_backends_bit_identical(w, cap, seed, data):
-    scale = data.draw(st.integers(-60, max(0, w - 1)))
-    r = seed >> max(0, -scale) if scale < 0 else seed << scale
-    # clamp into the widest accepted range (|arg| <= 9/8 * 2**w)
-    limit = (9 << w) // 8
-    r = max(-limit, min(limit, r))
-    assert _kernels_py.exp_series(r // 2, w, cap) == \
-        _kernels_c.exp_series(r // 2, w, cap)
-    assert _kernels_py.sin_series(r, w, cap) == \
-        _kernels_c.sin_series(r, w, cap)
-    assert _kernels_py.cos_series(r, w, cap) == \
-        _kernels_c.cos_series(r, w, cap)
-    assert _kernels_py.ln1p_series(r // 2, w, cap) == \
-        _kernels_c.ln1p_series(r // 2, w, cap)
-    q = abs(seed) % (1 << 20) + 2
-    p = data.draw(st.integers(-(q // 2), q // 2))
-    assert _kernels_py.atan_series(p, q, w, cap) == \
-        _kernels_c.atan_series(p, q, w, cap)
-
-
 def test_kernels_deterministic():
     w = 128
     r = (3 << w) // 5
-    a = _kernels_py.exp_series(r, w, 40)
-    b = _kernels_py.exp_series(r, w, 40)
+    a = kernels.exp_series(r, w, 40)
+    b = kernels.exp_series(r, w, 40)
     assert a == b
 
 
-# Run in a fresh interpreter: records whether certreal.kernels looked up the
-# compiled twin (satisfying no lookup, so the twin never loads) and which
-# backend it bound.
-_BACKEND_PROBE = """
-import json, sys
+# -- wrapper contract: dyadic in, dyadic within 2**-t out ------------------
+#
+# The kernel tests above pass their own cap; these check the caps and
+# working widths the wrappers choose.  Arguments run up to the ends of
+# each kernel's range, where the caps are tightest.
 
-class LookupRecorder:
-    asked = False
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "certreal._kernels_c":
-            LookupRecorder.asked = True
-        return None
-
-sys.meta_path.insert(0, LookupRecorder())
-from certreal import _kernels_py, kernels
-print(json.dumps({
-    "backend": kernels.BACKEND,
-    "pure_bound": all(getattr(kernels, n) is getattr(_kernels_py, n)
-                      for n in ("exp_series", "sin_series", "cos_series",
-                                "atan_series", "ln1p_series")),
-    "asked_compiled": LookupRecorder.asked,
-}))
-"""
+_WRAPPERS = {
+    "exp": (kernels.exp_within, Fraction(5, 8), oracles.exp_bounds),
+    "sin": (kernels.sin_within, Fraction(9, 8), oracles.sin_bounds),
+    "cos": (kernels.cos_within, Fraction(9, 8), oracles.cos_bounds),
+    "ln1p": (kernels.ln1p_within, Fraction(5, 8), oracles._ln_series),
+}
 
 
-def _probe_backend(pure: bool) -> dict:
-    env = dict(os.environ)
-    env.pop("CERTREAL_PURE_KERNELS", None)
-    if pure:
-        env["CERTREAL_PURE_KERNELS"] = "1"
-    # the child must import the same certreal this process is testing
-    package_root = os.path.dirname(os.path.dirname(certreal.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _BACKEND_PROBE], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+def _targets(rng):
+    return [8, 600] + [rng.randint(8, 600) for _ in range(6)]
 
 
-def test_pure_override_env():
-    # the env switch is read at import time, so it is tested in fresh
-    # interpreters; the lookup record shows that the switch, not a missing
-    # build of the compiled twin, is what chose the pure backend
-    forced = _probe_backend(pure=True)
-    assert forced == {"backend": "python", "pure_bound": True,
-                      "asked_compiled": False}
-    assert _probe_backend(pure=False)["asked_compiled"] is True
+def _assert_within(got, lo, hi, t):
+    tol = Fraction(1, 1 << t)
+    assert lo - tol <= got.as_fraction() <= hi + tol
+
+
+@pytest.mark.parametrize("name", sorted(_WRAPPERS))
+def test_wrapper_within_target(name):
+    within, bound, enclosure = _WRAPPERS[name]
+    rng = random.Random(name)
+    for t in _targets(rng):
+        # exponents past the working width exercise the argument rounding
+        e = rng.randint(3, 48)
+        end = int(bound * (1 << e))
+        for m in (end, -end, rng.randint(-end, end)):
+            r = dyadic(m, -e)
+            lo, hi = enclosure(r.as_fraction(), t + 20)
+            _assert_within(within(r, t), lo, hi, t)
+
+
+def test_atan_wrapper_within_target():
+    rng = random.Random("atan")
+    for t in _targets(rng):
+        q = 2 * rng.randint(1, 1 << 20)
+        for p in (q // 2, -(q // 2), rng.randint(-(q // 2), q // 2)):
+            lo, hi = oracles.atan_bounds(p, q, t + 20)
+            _assert_within(kernels.atan_within(p, q, t), lo, hi, t)
