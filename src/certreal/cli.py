@@ -9,7 +9,9 @@ Four subcommands:
 
 Exit codes: 0 proved / counterexample found / success, 1 refuted or
 selftest failure, 2 budget exhausted (no decision), 3 usage or
-evaluation error.  JSON output (--json) follows docs/cli-schema.json.
+evaluation error, 4 internal error (an unexpected exception, such as
+RecursionError on deeply nested input; never a verdict).  JSON output
+(--json) follows docs/cli-schema.json.
 """
 
 from __future__ import annotations
@@ -245,6 +247,10 @@ def main(argv=None) -> int:
     except (CertRealError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        # a crash must not exit 1, which reads as "refuted"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

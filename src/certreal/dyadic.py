@@ -154,10 +154,10 @@ class BigDyadic:
     # -- rendering --------------------------------------------------------
 
     def __str__(self) -> str:
-        return f"{self.mantissa}*2^{self.exponent}"
+        return f"{int_to_decimal(self.mantissa)}*2^{self.exponent}"
 
     def __repr__(self) -> str:
-        return f"BigDyadic({self.mantissa}, {self.exponent})"
+        return f"BigDyadic({int_to_decimal(self.mantissa)}, {self.exponent})"
 
 
 def dyadic(mantissa: int, exponent: int = 0) -> BigDyadic:
@@ -241,6 +241,36 @@ def clamp_unit(v: BigDyadic) -> BigDyadic:
     return v
 
 
+# Decimal conversion by divide and conquer on powers of ten.  Python's
+# int() and str() refuse more digits than sys.get_int_max_str_digits()
+# allows (4300 by default, at least 640 when it is set), a process-wide
+# setting; pieces of at most _DECIMAL_CHUNK digits stay under any limit.
+_DECIMAL_CHUNK = 512
+_CHUNK_BOUND = 10 ** _DECIMAL_CHUNK
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    if n < _CHUNK_BOUND:
+        return str(n)
+    # about half the digit count (1233 / 4096 is just below log10(2)),
+    # so the high part is at least 1
+    k = (n.bit_length() * 1233 >> 12) // 2
+    high, low = divmod(n, 10 ** k)
+    return int_to_decimal(high) + int_to_decimal(low).zfill(k)
+
+
+def decimal_to_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length."""
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    high, low = digits[:-k], digits[-k:]
+    return decimal_to_int(high) * 10 ** k + decimal_to_int(low)
+
+
 def to_decimal_string(a: BigDyadic, digits: int) -> str:
     """Exact decimal rendering with the given number of fractional digits.
 
@@ -260,9 +290,10 @@ def to_decimal_string(a: BigDyadic, digits: int) -> str:
         scaled = div_nearest(m * p, 1 << -e)
     sign = "-" if (neg and scaled != 0) else ""
     if digits == 0:
-        return f"{sign}{scaled}"
+        return sign + int_to_decimal(scaled)
     whole, frac = divmod(scaled, p)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return (f"{sign}{int_to_decimal(whole)}."
+            f"{int_to_decimal(frac).zfill(digits)}")
 
 
 def from_fraction_nearest(f: Fraction, k: int) -> BigDyadic:

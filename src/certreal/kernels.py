@@ -38,6 +38,8 @@ the function value.  The cap makes the analytic tail at most
 and the half-ulp rounding of the argument below 2**-(t+1) as well.
 """
 
+from math import factorial
+
 from .dyadic import BigDyadic, div_nearest, dyadic
 from .errors import ResourceExhausted
 
@@ -159,40 +161,47 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 # -- term caps ------------------------------------------------------------
 #
 # Each cap is the number of series iterations after which the exact
-# remainder is at most 2**-(t+1) over the kernel's whole argument range.
-# All searches are exact integer loops.
+# remainder is at most 2**-(t+1) over the kernel's whole argument range:
+# the least n at which an exact integer inequality "bound(n) <= 2**-(t+1)"
+# holds.  Every bound shrinks strictly with n, its successive ratio being
+# 5/(8(n+1)) for exp, (9/8)**2/((2n+2)(2n+3)) for sin,
+# (9/8)**2/((2n+1)(2n+2)) for cos, u**2 (2n+1)/(2n+3) with |u| <= 1/2 for
+# atan and (5/8)(n+1)/(n+2) for ln1p.  So each inequality, once true,
+# stays true, and _least finds the first n where it holds by doubling
+# and bisection: O(log n) exact checks of about one big product each.
+
+def _least(done) -> int:
+    """Least n >= 0 with done(n), for done false below some n, true above."""
+    if done(0):
+        return 0
+    lo, hi = 0, 1
+    while not done(hi):
+        lo, hi = hi, 2 * hi
+    # done(lo) is false and done(hi) is true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if done(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
 
 def _cap_exp(t: int) -> int:
     # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
-    n, p5, p8 = 0, 1, 1
-    bound = 1 << (t + 2)
-    while p5 * bound > p8:
-        n += 1
-        p5 *= 5
-        p8 *= 8 * n
-    return n
+    return _least(lambda n: 5 ** n << (t + 2) <= factorial(n) << 3 * n)
 
 
 def _cap_sin(t: int) -> int:
     # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
-    n, p9, pf = 0, 9, 8
-    bound = 1 << (t + 1)
-    while p9 * bound > pf:
-        n += 1
-        p9 *= 81
-        pf *= 64 * (2 * n) * (2 * n + 1)
-    return n
+    return _least(lambda n: 9 ** (2 * n + 1) << (t + 1)
+                  <= factorial(2 * n + 1) << 3 * (2 * n + 1))
 
 
 def _cap_cos(t: int) -> int:
     # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
-    n, p9, pf = 0, 1, 1
-    bound = 1 << (t + 1)
-    while p9 * bound > pf:
-        n += 1
-        p9 *= 81
-        pf *= 64 * (2 * n - 1) * (2 * n)
-    return n
+    return _least(lambda n: 9 ** (2 * n) << (t + 1)
+                  <= factorial(2 * n) << 6 * n)
 
 
 def _cap_atan(t: int, p: int, q: int) -> int:
@@ -200,24 +209,14 @@ def _cap_atan(t: int, p: int, q: int) -> int:
     pa = abs(p)
     if pa == 0:
         return 1
-    n, pn, pd = 0, pa, q
-    bound = 1 << (t + 1)
-    while pn * bound > pd * (2 * n + 1):
-        n += 1
-        pn *= pa * pa
-        pd *= q * q
-    return n + 1
+    return 1 + _least(lambda n: pa ** (2 * n + 1) << (t + 1)
+                      <= q ** (2 * n + 1) * (2 * n + 1))
 
 
 def _cap_ln1p(t: int) -> int:
     # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
-    n, p5, p8 = 0, 5, 8
-    bound = 1 << (t + 4)
-    while p5 * bound > p8 * 3 * (n + 1):
-        n += 1
-        p5 *= 5
-        p8 *= 8
-    return n + 1
+    return 1 + _least(lambda n: 5 ** (n + 1) << (t + 4)
+                      <= 3 * (n + 1) << 3 * (n + 1))
 
 
 # -- wrappers: dyadic in, dyadic within 2**-t out -------------------------

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import creal, functions
+from .dyadic import decimal_to_int, int_to_decimal
 from .errors import (DomainUnverifiable, DomainViolation, ParseError,
                      RelationUnsupported)
 
@@ -284,9 +285,9 @@ def _num_node(t: _Token):
     text = t.text
     span = (t.start, t.end)
     if "." not in text:
-        return IntLit(int(text), span)
+        return IntLit(decimal_to_int(text), span)
     whole, frac = text.split(".")
-    num = int(whole + frac)
+    num = decimal_to_int(whole + frac)
     den = 10 ** len(frac)
     g = math.gcd(num, den)
     num, den = num // g, den // g
@@ -336,7 +337,7 @@ def format_expr(node) -> str:
 
 def _fmt(node, parent_prec: int) -> str:
     if isinstance(node, IntLit):
-        return str(node.value)
+        return int_to_decimal(node.value)
     if isinstance(node, DecLit):
         return _decimal_text(node.num, node.den)
     if isinstance(node, PiConst):
@@ -372,11 +373,11 @@ def _decimal_text(num: int, den: int) -> str:
     scaled = num * 10 ** digits // den
     whole, frac = divmod(scaled, 10 ** digits)
     if digits == 0:
-        return str(whole)
-    text = f"{frac:0{digits}d}".rstrip("0")
+        return int_to_decimal(whole)
+    text = int_to_decimal(frac).zfill(digits).rstrip("0")
     if not text:
         text = "0"
-    return f"{whole}.{text}"
+    return f"{int_to_decimal(whole)}.{text}"
 
 
 # -- elaboration ----------------------------------------------------------

@@ -34,7 +34,7 @@ from . import creal, intervals, lang
 from .creal import (CReal, Exhausted, ProofOutcome, Proved, Refuted,
                     TraceStep, cmp_semidecide, const, deepening_schedule,
                     series_sum)
-from .dyadic import BigDyadic
+from .dyadic import BigDyadic, int_to_decimal
 from .errors import (ConformanceError, DomainUndetermined, ParseError,
                      ResourceExhausted)
 
@@ -191,7 +191,7 @@ def verify_outcome(out: ProofOutcome) -> bool:
 
 def _dyadic_jsonable(d: BigDyadic) -> dict:
     # mantissa as a string: arbitrary precision survives any JSON parser
-    return {"m": str(d.mantissa), "e": d.exponent}
+    return {"m": int_to_decimal(d.mantissa), "e": d.exponent}
 
 
 def _interval_jsonable(iv: intervals.Interval) -> dict:

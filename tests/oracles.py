@@ -179,6 +179,70 @@ def pi_bounds(bits: int):
 PI_50_DIGITS = "3.14159265358979323846264338327950288419716939937511"
 
 
+# -- reference term caps ---------------------------------------------------
+#
+# The kernels' term caps as linear scans: step n up from 0, updating the
+# exact integer sides of each remainder inequality, until it holds.  The
+# engine's caps must return the same integers.
+
+def _cap_exp(t: int) -> int:
+    # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
+    n, p5, p8 = 0, 1, 1
+    bound = 1 << (t + 2)
+    while p5 * bound > p8:
+        n += 1
+        p5 *= 5
+        p8 *= 8 * n
+    return n
+
+
+def _cap_sin(t: int) -> int:
+    # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
+    n, p9, pf = 0, 9, 8
+    bound = 1 << (t + 1)
+    while p9 * bound > pf:
+        n += 1
+        p9 *= 81
+        pf *= 64 * (2 * n) * (2 * n + 1)
+    return n
+
+
+def _cap_cos(t: int) -> int:
+    # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
+    n, p9, pf = 0, 1, 1
+    bound = 1 << (t + 1)
+    while p9 * bound > pf:
+        n += 1
+        p9 *= 81
+        pf *= 64 * (2 * n - 1) * (2 * n)
+    return n
+
+
+def _cap_atan(t: int, p: int, q: int) -> int:
+    # first omitted term is |u|**(2n+1) / (2n+1), u = p/q
+    pa = abs(p)
+    if pa == 0:
+        return 1
+    n, pn, pd = 0, pa, q
+    bound = 1 << (t + 1)
+    while pn * bound > pd * (2 * n + 1):
+        n += 1
+        pn *= pa * pa
+        pd *= q * q
+    return n + 1
+
+
+def _cap_ln1p(t: int) -> int:
+    # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
+    n, p5, p8 = 0, 5, 8
+    bound = 1 << (t + 4)
+    while p5 * bound > p8 * 3 * (n + 1):
+        n += 1
+        p5 *= 5
+        p8 *= 8
+    return n + 1
+
+
 # -- interval evaluation over the expression AST --------------------------
 
 class OracleDomainError(Exception):

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from certreal.cli import main
+from certreal.dyadic import decimal_to_int
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text())
@@ -101,6 +102,16 @@ def test_usage_errors_exit_3():
     assert exc.value.code == 3
 
 
+def test_crash_exits_4_not_refuted(capsys):
+    # deep nesting overflows the recursive parser; exit 1 would read as
+    # "refuted", so an unexpected exception gets its own code
+    query = "(" * 400 + "1" + ")" * 400 + " < 2"
+    assert main(["prove", query]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1
+
+
 # -- eval ------------------------------------------------------------------
 
 def test_eval_prints_certified_digits(capsys):
@@ -123,6 +134,22 @@ def test_eval_keeps_trailing_zeros(capsys):
     assert capsys.readouterr().out.strip() == "0.250"
     assert main(["eval", "0", "--digits", "10"]) == 0
     assert capsys.readouterr().out.strip() == "0.0000000000"
+
+
+def test_eval_past_int_str_limit(capsys):
+    # more digits than Python's default int/str conversion limit (4300)
+    assert main(["eval", "pi", "--digits", "5000"]) == 0
+    long = capsys.readouterr().out.strip()
+    assert main(["eval", "pi", "--digits", "4000"]) == 0
+    short = capsys.readouterr().out.strip()
+    assert long[:2] == short[:2] == "3." and len(long) == 2 + 5000
+    # each rendering is within one unit in its last place of pi
+    a, b = decimal_to_int(short[2:]), decimal_to_int(long[2:])
+    assert abs(a * 10 ** 1000 - b) <= 10 ** 1000 + 1
+    assert main(["eval", "pi", "--digits", "5000", "--json"]) == 0
+    doc = _json_out(capsys)
+    assert doc["value"] == long
+    assert len(doc["enclosure"]["lo"]["m"]) > 5000
 
 
 def test_eval_json_is_schema_valid(capsys):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from certreal.dyadic import (BigDyadic, EXPONENT_LIMIT, ONE, TWO, ZERO,
-                             div_nearest, dyadic, from_fraction_nearest,
-                             from_int, power_of_two, round_ceil, round_floor,
-                             round_to, to_decimal_string)
+                             decimal_to_int, div_nearest, dyadic,
+                             from_fraction_nearest, from_int, int_to_decimal,
+                             power_of_two, round_ceil, round_floor, round_to,
+                             to_decimal_string)
 from certreal.errors import ExponentOverflow
 
 mantissas = st.integers(-(1 << 200), 1 << 200)
@@ -114,6 +115,26 @@ def test_decimal_rendering_details():
     assert to_decimal_string(dyadic(-1, -30), 2) == "0.00"
     with pytest.raises(ValueError):
         to_decimal_string(ONE, -1)
+
+
+@given(st.integers(-(1 << 20000), 1 << 20000))
+def test_decimal_conversion_round_trip(n):
+    text = int_to_decimal(n)
+    assert text.startswith("-") == (n < 0)
+    body = text.lstrip("-")
+    assert body.isdigit() and (body == "0" or body[0] != "0")
+    assert decimal_to_int(body) == abs(n)
+
+
+def test_decimal_conversion_past_int_str_limit():
+    for k in (511, 512, 513, 4300, 5000, 12345):
+        assert int_to_decimal(10 ** k) == "1" + "0" * k
+        assert int_to_decimal(-(10 ** k - 1)) == "-" + "9" * k
+        assert decimal_to_int("9" * k) == 10 ** k - 1
+        assert decimal_to_int("0" * k + "7") == 7
+    big = dyadic(10 ** 5000 + 1, -1)
+    assert to_decimal_string(big, 1) == "5" + "0" * 4999 + ".5"
+    assert str(big) == "1" + "0" * 4999 + "1*2^-1"
 
 
 @given(st.fractions(), grids)

@@ -137,3 +137,31 @@ def test_atan_wrapper_within_target():
         for p in (q // 2, -(q // 2), rng.randint(-(q // 2), q // 2)):
             lo, hi = oracles.atan_bounds(p, q, t + 20)
             _assert_within(kernels.atan_within(p, q, t), lo, hi, t)
+
+
+# -- term caps: the same integers as the linear scans ----------------------
+
+# the Machin pair, both ends of the kernel's range, zero, and two others
+_ATAN_ARGS = [(1, 5), (1, 239), (1, 2), (-1, 2), (0, 3), (3, 7), (-2, 5)]
+
+
+def _cap_targets():
+    # every small target, plus seeded ones up to where the reference
+    # ln1p scan takes a few tenths of a second
+    rng = random.Random("caps")
+    return list(range(601)) + sorted(rng.randint(601, 8000)
+                                     for _ in range(20))
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "ln1p"])
+def test_cap_equals_linear_scan(name):
+    cap = getattr(kernels, "_cap_" + name)
+    reference = getattr(oracles, "_cap_" + name)
+    for t in _cap_targets():
+        assert cap(t) == reference(t), t
+
+
+@pytest.mark.parametrize("p,q", _ATAN_ARGS)
+def test_atan_cap_equals_linear_scan(p, q):
+    for t in _cap_targets():
+        assert kernels._cap_atan(t, p, q) == oracles._cap_atan(t, p, q), t

@@ -72,6 +72,19 @@ def test_decimal_literals():
     assert format_expr(two) == "2"
 
 
+def test_literals_past_int_str_limit():
+    # 5000 digits: more than Python's default int/str conversion limit
+    digits = "1234567890" * 500
+    exact = 1234567890 * (10 ** 5000 - 1) // (10 ** 10 - 1)
+    n = parse_expression(digits)
+    assert isinstance(n, IntLit) and n.value == exact
+    assert format_expr(n) == digits
+    d = parse_expression("0." + digits)
+    assert isinstance(d, DecLit)
+    assert Fraction(d.num, d.den) == Fraction(exact, 10 ** 5000)
+    assert format_expr(d) == "0." + digits[:-1]
+
+
 def test_spans_cover_source():
     text = "sin(pi) + 1.5"
     e = parse_expression(text)
