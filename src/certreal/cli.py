@@ -221,6 +221,7 @@ def _cmd_selftest(args) -> int:
             "passed": report.passed,
             "total": len(report.checks) + len(report.pi_checks),
             "failed": len(report.failures),
+            "unconverged": report.unconverged,
             "failures": failures,
         }
         print(json.dumps(doc, indent=2))

@@ -201,6 +201,27 @@ def div_nearest(a: int, b: int) -> int:
     return q
 
 
+def shift_nearest(a: int, s: int) -> int:
+    """Round a / 2**s to the nearest integer, ties to the even integer.
+
+    The same integer as div_nearest(a, 1 << s), for s >= 0 and a of
+    either sign, at the cost of a shift and a mask test rather than a
+    long division.
+    """
+    if s == 0:
+        return a
+    if s < 0:
+        raise ValueError("shift_nearest needs a nonnegative shift")
+    # q = floor(a / 2**(s-1)): the floor of a / 2**s and the half bit
+    q = a >> (s - 1)
+    half = q & 1
+    q >>= 1
+    # above half way, or exactly half way with an odd floor: round up
+    if half and (q & 1 or a & ((1 << (s - 1)) - 1)):
+        q += 1
+    return q
+
+
 def round_to(a: BigDyadic, k: int) -> BigDyadic:
     """Round to the grid of spacing 2**-k, nearest, ties to even mantissa.
 
@@ -212,7 +233,7 @@ def round_to(a: BigDyadic, k: int) -> BigDyadic:
     shift = -k - e
     if shift > _ALIGN_LIMIT:
         raise ExponentOverflow(f"rounding span {shift} too large")
-    return dyadic(div_nearest(m, 1 << shift), -k)
+    return dyadic(shift_nearest(m, shift), -k)
 
 
 def round_floor(a: BigDyadic, k: int) -> BigDyadic:
@@ -287,7 +308,7 @@ def to_decimal_string(a: BigDyadic, digits: int) -> str:
     if e >= 0:
         scaled = (m << e) * p
     else:
-        scaled = div_nearest(m * p, 1 << -e)
+        scaled = shift_nearest(m * p, -e)
     sign = "-" if (neg and scaled != 0) else ""
     if digits == 0:
         return sign + int_to_decimal(scaled)

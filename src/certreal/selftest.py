@@ -109,11 +109,18 @@ class SelfTestReport:
         bad += [p for p in self.pi_checks if not p.passed]
         return tuple(bad)
 
+    @property
+    def unconverged(self) -> int:
+        """Conformance checks whose interval enclosure stayed wider than
+        requested: still sound, so not failures, but worth seeing."""
+        return sum(not c.converged for c in self.checks)
+
     def summary(self) -> str:
         n = len(self.checks) + len(self.pi_checks)
         bad = len(self.failures)
         verdict = "PASS" if self.passed else "FAIL"
-        return f"{verdict}: {n - bad}/{n} checks passed"
+        return (f"{verdict}: {n - bad}/{n} checks passed, "
+                f"{self.unconverged} unconverged")
 
 
 def _pi_agreement(k: int, method: str, **kw) -> PiCheck:

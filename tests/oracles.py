@@ -107,15 +107,19 @@ def _ln_series(t: Fraction, bits: int):
     # ln(1 + t) for |t| <= 5/8; power series with remainder
     # <= |t|**(N+1)/(N+1) * 1/(1-|t|) <= 3 |t|**(N+1)/(N+1)
     assert abs(t) <= Fraction(5, 8)
+    # |t|**(n+1) = a/b carried along as two integer powers
+    a, b = abs(t.numerator) ** 2, t.denominator ** 2
     n = 1
-    while 3 * abs(t) ** (n + 1) / (n + 1) > Fraction(1, 1 << bits):
+    while 3 * a << bits > b * (n + 1):
         n += 1
+        a *= abs(t.numerator)
+        b *= t.denominator
     s = Fraction(0)
     power = Fraction(1)
     for i in range(1, n + 1):
         power *= t
         s += power / i if i % 2 == 1 else -power / i
-    rem = 3 * abs(t) ** (n + 1) / (n + 1)
+    rem = Fraction(3 * a, b * (n + 1))
     return s - rem, s + rem
 
 

@@ -207,6 +207,33 @@ def test_selftest_quick_json(capsys):
     assert doc["total"] > 0
 
 
+def test_selftest_reports_unconverged(capsys, monkeypatch):
+    import dataclasses
+
+    from certreal import lang, selftest
+
+    assert main(["selftest", "--quick", "--json"]) == 0
+    assert _json_out(capsys)["unconverged"] == 0
+    # an unconverged enclosure is sound, so it is counted, not failed
+    honest = selftest.conformance_check
+
+    def wide_for_sin(expr, k):
+        rep = honest(expr, k)
+        return dataclasses.replace(
+            rep, converged="sin" not in lang.format_expr(expr))
+
+    monkeypatch.setattr(selftest, "conformance_check", wide_for_sin)
+    expected = len(selftest.QUICK_PRECISIONS) * sum(
+        "sin" in text for text in selftest.corpus()[::8])
+    assert expected > 0
+    assert main(["selftest", "--quick", "--json"]) == 0
+    doc = _json_out(capsys)
+    assert doc["unconverged"] == expected
+    assert doc["passed"] is True and doc["failed"] == 0
+    assert main(["selftest", "--quick"]) == 0
+    assert f", {expected} unconverged" in capsys.readouterr().out
+
+
 def test_selftest_prec_list(capsys):
     assert main(["selftest", "--quick", "--prec-list", "4,12", "--json"]) == 0
     doc = _json_out(capsys)

@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from certreal.dyadic import (BigDyadic, EXPONENT_LIMIT, ONE, TWO, ZERO,
                              decimal_to_int, div_nearest, dyadic,
                              from_fraction_nearest, from_int, int_to_decimal,
                              power_of_two, round_ceil, round_floor, round_to,
-                             to_decimal_string)
+                             shift_nearest, to_decimal_string)
 from certreal.errors import ExponentOverflow
 
 mantissas = st.integers(-(1 << 200), 1 << 200)
@@ -78,6 +78,48 @@ def test_div_nearest(a, b):
     assert abs(err) <= Fraction(1, 2)
     if abs(err) == Fraction(1, 2):
         assert q % 2 == 0
+
+
+@st.composite
+def shifted_ints(draw):
+    """(a, s): any a up to 20000 bits, or an exact tie a = (2q+1) * 2**(s-1)
+    with q of either sign and parity, or one off such a tie."""
+    s = draw(st.integers(0, 20000))
+    kind = draw(st.sampled_from(("any", "tie", "off")))
+    if kind == "any" or s == 0:
+        return draw(st.integers(-(1 << 20000), 1 << 20000)), s
+    q = draw(st.integers(-(1 << 64), 1 << 64))
+    a = (2 * q + 1) << (s - 1)
+    if kind == "off":
+        a += draw(st.sampled_from((-1, 1)))
+    return a, s
+
+
+@given(shifted_ints())
+@example((0, 0)).via("zero")
+@example((-7, 0)).via("no shift")
+@example((5, 1)).via("tie above an even floor")
+@example((3, 1)).via("tie above an odd floor")
+@example((-5, 1)).via("negative tie above an odd floor")
+@example((-3, 1)).via("negative tie above an even floor")
+@example((-(1 << 19999) - (1 << 9998), 9999)).via("wide negative tie")
+def test_shift_nearest_equals_div_nearest(case):
+    a, s = case
+    assert shift_nearest(a, s) == div_nearest(a, 1 << s)
+
+
+def test_shift_nearest_rejects_negative_shift():
+    with pytest.raises(ValueError):
+        shift_nearest(1, -1)
+
+
+@given(st.builds(dyadic, st.integers(-(1 << 20000), 1 << 20000),
+                 st.integers(-20000, 100)),
+       st.integers(0, 20000))
+def test_round_to_contract_wide(a, k):
+    q = round_to(a, k)
+    assert abs(q.as_fraction() - a.as_fraction()) <= Fraction(1, 2 ** (k + 1))
+    assert q.is_zero() or q.exponent >= -k
 
 
 @given(values, grids)

@@ -1,5 +1,6 @@
 """Transcendental nodes against the exact-rational oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,42 @@ def test_tan_at_one():
     slo, shi = oracles.sin_bounds(Fraction(1), 80)
     clo, chi = oracles.cos_bounds(Fraction(1), 80)
     _check(t, 60, slo / chi, shi / clo)
+
+
+# Above about 300 bits for exp and 1300 for sin and cos the reductions
+# run deeper than the argument's range needs (kernels.extra_halvings,
+# kernels.extra_triplings); these precisions are all past those points.
+HIGH_K = (900, 1500, 2500, 4000)
+
+
+def _seeded_args(name, k, bound):
+    """Both ends of [-bound, bound] and seeded rationals inside it, one
+    of them in [-1, 1], where every reduction step is an extra one."""
+    rng = random.Random(f"{name}-{k}")
+    inside = []
+    for b in (1, bound, bound):
+        q = rng.randint(1, 10 ** 4)
+        inside.append(Fraction(rng.randint(-b * q, b * q), q))
+    return [Fraction(-bound), Fraction(bound)] + inside
+
+
+@pytest.mark.parametrize("k", HIGH_K)
+def test_exp_honest_at_high_precision(k):
+    for v in _seeded_args("exp", k, 16):
+        lo, hi = oracles.exp_bounds(v, k + 10)
+        _check(exp(const(v)), k, lo, hi)
+
+
+@pytest.mark.parametrize("k", HIGH_K)
+def test_sin_cos_tan_honest_at_high_precision(k):
+    for v in _seeded_args("sincos", k, 60):
+        slo, shi = oracles.sin_bounds(v, k + 10)
+        _check(sin(const(v)), k, slo, shi)
+        clo, chi = oracles.cos_bounds(v, k + 10)
+        _check(cos(const(v)), k, clo, chi)
+        assert not clo <= 0 <= chi
+        tlo, thi = oracles._imul(slo, shi, 1 / chi, 1 / clo)
+        _check(tan(const(v), find_apart(cos(const(v)))), k, tlo, thi)
 
 
 def test_ln_certificate_errors():

@@ -1,5 +1,6 @@
 """Outward interval arithmetic and the independent enclosure evaluator."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,34 @@ def test_point_evaluators_honest(v, t):
             <= lhi + tol
 
 
+# past the widths where the reductions start to run deeper than the
+# argument's range needs (kernels.extra_halvings, extra_triplings)
+HIGH_T = (900, 1500, 2500, 4000)
+
+
+def _seeded_dyadics(rng, bound):
+    """Both ends of [-bound, bound] and seeded dyadics inside it, one of
+    them in [-1, 1], where every reduction step is an extra one."""
+    return [dyadic(-bound), dyadic(bound)] + [
+        dyadic(rng.randint(-b << 16, b << 16), -16) for b in (1, bound, bound)]
+
+
+@pytest.mark.parametrize("t", HIGH_T)
+def test_point_evaluators_honest_at_high_precision(t):
+    rng = random.Random(f"points-{t}")
+    tol = Fraction(1, 2 ** t)
+    for x in _seeded_dyadics(rng, 16):
+        lo, hi = oracles.exp_bounds(x.as_fraction(), t + 12)
+        assert lo - tol <= intervals._exp_point(x, t).as_fraction() <= hi + tol
+    for x in _seeded_dyadics(rng, 60):
+        slo, shi = oracles.sin_bounds(x.as_fraction(), t + 12)
+        sv = intervals._sincos_point(x, t, want_sin=True)
+        assert slo - tol <= sv.as_fraction() <= shi + tol
+        clo, chi = oracles.cos_bounds(x.as_fraction(), t + 12)
+        cv = intervals._sincos_point(x, t, want_sin=False)
+        assert clo - tol <= cv.as_fraction() <= chi + tol
+
+
 @given(st.integers(4, 200))
 def test_pi_point_honest(t):
     lo, hi = oracles.pi_bounds(t + 12)
@@ -158,6 +187,14 @@ def test_conformance_check_passes_clean_expressions():
             assert rep.precision == k
     r = conformance_check(lang.parse_expression("pi"), 10)
     assert "conformance ok" in str(r)
+
+
+@pytest.mark.parametrize("text", (
+    "exp(pi)", "sin(7)", "cos(3) * cos(3) + sin(3) * sin(3)", "tan(1.5)",
+    "exp(sin(7))", "sin(3 * 7)"))
+def test_conformance_check_at_high_precision(text):
+    rep = conformance_check(lang.parse_expression(text), 2500)
+    assert rep.passed and rep.converged, text
 
 
 def test_conformance_check_catches_disagreement(monkeypatch):
