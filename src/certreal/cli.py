@@ -8,10 +8,11 @@ Four subcommands:
   selftest         run the built-in cross-validation suite
 
 Exit codes: 0 proved / counterexample found / success, 1 refuted or
-selftest failure, 2 budget exhausted (no decision), 3 usage or
-evaluation error, 4 internal error (an unexpected exception, such as
-RecursionError on deeply nested input; never a verdict).  JSON output
-(--json) follows docs/cli-schema.json.
+selftest failure, 2 budget exhausted (no decision, including a
+ResourceExhausted error), 3 usage or evaluation error, 4 internal
+error (a ConformanceError between the backends, or an unexpected
+exception such as RecursionError on deeply nested input; never a
+verdict).  JSON output (--json) follows docs/cli-schema.json.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import lang, prover, selftest
 from .dyadic import power_of_two, to_decimal_string
-from .errors import CertRealError
+from .errors import CertRealError, ConformanceError, ResourceExhausted
 from .prover import Counterexample, outcome_jsonable
 
 DEFAULT_EVAL_DIGITS = 30
@@ -245,6 +246,14 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except ResourceExhausted as e:
+        # a budget ran out before any answer, as with Exhausted
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except ConformanceError as e:
+        # the backends disagree: an engine bug, not a user error
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
     except (CertRealError, ValueError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

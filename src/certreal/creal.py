@@ -16,10 +16,12 @@ computation is integer arithmetic, so approximations are deterministic
 and bit-identical across runs and platforms.
 
 Internally each node computes a slightly better "raw" approximation
-(error at most 2**-j for requested j) and the public method rounds it
-onto a fixed grid.  Results are memoized per precision under a
-per-node lock; since recomputation is deterministic, a lost race can
-only store the identical value, and caching is observation-transparent.
+(error at most 2**-j for requested j), kept in one memo keyed by
+precision.  approx(x, k) is derived from raw(k+2) by one grid
+rounding and is not memoized itself.  Because _compute is
+deterministic, two threads that race on a miss store the identical
+value, and no cache can make approx(x, k) depend on what was computed
+before.
 
 Strict comparisons are only semi-decidable: cmp_semidecide deepens
 precision along an exponential schedule and reports Proved or Refuted
@@ -30,7 +32,6 @@ equal numbers).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -71,33 +72,24 @@ class CReal:
     rounding.
     """
 
-    __slots__ = ("_lock", "_raw_memo", "_approx_memo")
+    __slots__ = ("_raw_memo",)
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._raw_memo: dict = {}
-        self._approx_memo: dict = {}
 
     def approx(self, k: int) -> BigDyadic:
         """Dyadic approximation with |x - approx(x, k)| <= 2**-k."""
         _checked_precision(k)
-        with self._lock:
-            q = self._approx_memo.get(k)
-        if q is None:
-            # raw error 2**-(k+2) plus half a 2**-(k+1) grid step
-            q = grid_round(self._raw(k + 2), k + 1)
-            with self._lock:
-                q = self._approx_memo.setdefault(k, q)
-        return q
+        # raw error 2**-(k+2) plus half a 2**-(k+1) grid step
+        return grid_round(self._raw(k + 2), k + 1)
 
     def _raw(self, j: int) -> BigDyadic:
-        _checked_precision(j)
-        with self._lock:
-            v = self._raw_memo.get(j)
+        # dict get and setdefault are each atomic; a lost race stores
+        # the identical value, so no lock is needed
+        v = self._raw_memo.get(j)
         if v is None:
-            v = self._compute(j)
-            with self._lock:
-                v = self._raw_memo.setdefault(j, v)
+            _checked_precision(j)
+            v = self._raw_memo.setdefault(j, self._compute(j))
         return v
 
     def _compute(self, j: int) -> BigDyadic:

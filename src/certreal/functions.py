@@ -15,6 +15,7 @@ paths, so results are deterministic bit for bit.
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
 from . import creal as _cr
 from . import kernels
@@ -154,16 +155,21 @@ class _Ln2(CReal):
         return -kernels.ln1p_within(dyadic(-1, -1), j)
 
 
-_LN2_LOCK = threading.Lock()
-_LN2_NODE = None
+# Process-wide constant nodes, so their memos are shared by every
+# expression.  Two threads racing on a miss may both build a node, but
+# setdefault keeps the first, so every caller gets the same one.
+_SHARED_NODES: dict = {}
+
+
+def _shared(key: tuple, build: Callable[[], CReal]) -> CReal:
+    node = _SHARED_NODES.get(key)
+    if node is None:
+        node = _SHARED_NODES.setdefault(key, build())
+    return node
 
 
 def _ln2() -> CReal:
-    global _LN2_NODE
-    with _LN2_LOCK:
-        if _LN2_NODE is None:
-            _LN2_NODE = _Ln2()
-        return _LN2_NODE
+    return _shared(("ln2",), _Ln2)
 
 
 class _AtanRat(CReal):
@@ -292,8 +298,9 @@ def atan_rat(p: int, q: int) -> CReal:
 
 DEFAULT_LEIBNIZ_CAP = 24
 
-_PI_LOCK = threading.Lock()
-_PI_CACHE: dict = {}
+
+def _machin() -> CReal:
+    return _Sub(_Scale2(_AtanRat(1, 5), 4), _Scale2(_AtanRat(1, 239), 2))
 
 
 def pi(method: str = "machin", *, leibniz_cap: int | None = None) -> CReal:
@@ -309,22 +316,10 @@ def pi(method: str = "machin", *, leibniz_cap: int | None = None) -> CReal:
     """
     if method == "leibniz":
         cap = DEFAULT_LEIBNIZ_CAP if leibniz_cap is None else leibniz_cap
-        key = ("leibniz", cap)
-    elif method in ("machin", "cos_iteration"):
-        if leibniz_cap is not None:
-            raise ValueError("leibniz_cap only applies to the leibniz route")
-        key = (method,)
-    else:
+        return _shared(("leibniz", cap), lambda: _PiLeibniz(cap))
+    if method not in ("machin", "cos_iteration"):
         raise ValueError(f"unknown pi method {method!r}")
-    with _PI_LOCK:
-        node = _PI_CACHE.get(key)
-        if node is None:
-            if method == "machin":
-                node = _Sub(_Scale2(_AtanRat(1, 5), 4),
-                            _Scale2(_AtanRat(1, 239), 2))
-            elif method == "cos_iteration":
-                node = _PiCosIter()
-            else:
-                node = _PiLeibniz(key[1])
-            _PI_CACHE[key] = node
-        return node
+    if leibniz_cap is not None:
+        raise ValueError("leibniz_cap only applies to the leibniz route")
+    build = _machin if method == "machin" else _PiCosIter
+    return _shared((method,), build)

@@ -138,10 +138,7 @@ def test_criterion_5_forty_digit_oracle_agreement():
 # -- 6 ---------------------------------------------------------------------
 
 def _clear_function_caches():
-    with functions._PI_LOCK:
-        functions._PI_CACHE.clear()
-    with functions._LN2_LOCK:
-        functions._LN2_NODE = None
+    functions._SHARED_NODES.clear()
 
 
 def test_criterion_6_conformance_and_fault_injection():

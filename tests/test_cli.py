@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from certreal import ConformanceError, prover
 from certreal.cli import main
 from certreal.dyadic import decimal_to_int
 
@@ -112,6 +113,18 @@ def test_crash_exits_4_not_refuted(capsys):
     assert err.count("\n") == 1
 
 
+def test_conformance_error_exits_4(capsys, monkeypatch):
+    # a backend disagreement is an engine bug: never a verdict, and not
+    # the code for a typo either
+    def disagree(oa, oi, query):
+        raise ConformanceError({"query": "1 < 2"})
+
+    monkeypatch.setattr(prover, "_merge_outcomes", disagree)
+    assert main(["prove", "1 < 2", "--backend", "both"]) == 4
+    assert capsys.readouterr().err.startswith(
+        "internal error: backend disagreement")
+
+
 # -- eval ------------------------------------------------------------------
 
 def test_eval_prints_certified_digits(capsys):
@@ -150,6 +163,14 @@ def test_eval_past_int_str_limit(capsys):
     doc = _json_out(capsys)
     assert doc["value"] == long
     assert len(doc["enclosure"]["lo"]["m"]) > 5000
+
+
+def test_resource_exhausted_exits_2(capsys):
+    # every exp level widens the working precision; 60 levels pass the
+    # limit, which is a spent budget, not a parse or domain error
+    tower = "exp(" * 60 + "1" + ")" * 60
+    assert main(["eval", tower]) == 2
+    assert "over the limit" in capsys.readouterr().err
 
 
 def test_eval_json_is_schema_valid(capsys):

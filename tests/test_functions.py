@@ -1,6 +1,7 @@
 """Transcendental nodes against the exact-rational oracles."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,42 @@ def test_pi_nodes_cached():
     assert pi() is pi()
     assert pi("cos_iteration") is pi("cos_iteration")
     assert pi("leibniz") is pi("leibniz", leibniz_cap=24)
+
+
+def _in_threads(fn, n=8):
+    # the barrier releases all n threads at once, so they race on the
+    # first lookups instead of running one after another
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def worker(i):
+        barrier.wait()
+        results[i] = fn()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results
+
+
+def test_shared_nodes_one_per_key_under_threads():
+    functions._SHARED_NODES.clear()
+    results = _in_threads(lambda: (pi(), functions._ln2()))
+    assert len({id(p) for p, _ in results}) == 1
+    assert len({id(l2) for _, l2 in results}) == 1
+    assert functions._SHARED_NODES[("machin",)] is results[0][0]
+    assert functions._SHARED_NODES[("ln2",)] is results[0][1]
+
+
+def test_threads_approximate_shared_expression_identically():
+    text = "exp(pi) - pi * ln(2)"
+    expected = lang.elaborate(lang.parse_expression(text)).approx(300)
+    # fresh shared nodes, so the threads race on cold memos
+    functions._SHARED_NODES.clear()
+    x = lang.elaborate(lang.parse_expression(text))
+    assert _in_threads(lambda: x.approx(300)) == [expected] * 8
 
 
 def test_cos_iteration_modulus_table():
