@@ -19,8 +19,7 @@ from typing import Callable
 
 from . import creal as _cr
 from . import kernels
-from .creal import (ApartnessCertificate, CReal, _Scale2, _Sub, const, lim,
-                    series_sum)
+from .creal import ApartnessCertificate, CReal, const, lim, series_sum
 from .dyadic import BigDyadic, ONE, clamp_unit, div_nearest, dyadic
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
@@ -125,6 +124,20 @@ class _Ln(CReal):
         self.x, self.cert = x, cert
 
     def _compute(self, j: int) -> BigDyadic:
+        if isinstance(self.x, _cr._Const):
+            # an exact rational whose window leaves a short atanh
+            # argument: binary splitting (kernels.ln_window, split_pays).
+            # e ln 2 within 2**-(j+2), 2 atanh within 2**-(j+2), the
+            # rounding 2**-(j+2)
+            a = self.x.value
+            e, p, q = kernels.ln_window(a.numerator, a.denominator)
+            if kernels.split_pays(q, j):
+                v = kernels.atan_split(p, q, j + 3, hyperbolic=True)
+                v = v.scale2(1)
+                if e != 0:
+                    tl = budget(j + 2 + abs(e).bit_length())
+                    v = v + _ln2()._raw(tl).mul_int(e)
+                return _cr.grid_round(v, j + 1)
         c = self.cert.witness_precision
         # with x > 2**-c, an approximation at c+6 has relative error
         # at most 1/63, so the power-of-two window chosen from it keeps
@@ -146,13 +159,28 @@ class _Ln(CReal):
         return _cr.grid_round(v, j + 1)
 
 
-class _Ln2(CReal):
-    """ln 2 = -ln(1/2), evaluated directly from the series kernel."""
+class _Ladder(CReal):
+    """A constant read off a precision ladder (kernels.ladder_rung).
 
-    __slots__ = ()
+    within(t) must return the constant within 2**-t.  The raw value at
+    j is rounded from the value at rung J = ladder_rung(j), computed
+    once per rung; see "Constant ladder" in kernels.py.
+    """
+
+    __slots__ = ("within", "_rungs")
+
+    def __init__(self, within: Callable[[int], BigDyadic]):
+        super().__init__()
+        self.within = within
+        self._rungs: dict = {}
 
     def _compute(self, j: int) -> BigDyadic:
-        return -kernels.ln1p_within(dyadic(-1, -1), j)
+        rung = kernels.ladder_rung(j)
+        # get and setdefault are each atomic, as in CReal._raw
+        v = self._rungs.get(rung)
+        if v is None:
+            v = self._rungs.setdefault(rung, self.within(rung + 1))
+        return _cr.grid_round(v, j + 1)
 
 
 # Process-wide constant nodes, so their memos are shared by every
@@ -169,7 +197,7 @@ def _shared(key: tuple, build: Callable[[], CReal]) -> CReal:
 
 
 def _ln2() -> CReal:
-    return _shared(("ln2",), _Ln2)
+    return _shared(("ln2",), lambda: _Ladder(kernels.ln2_within))
 
 
 class _AtanRat(CReal):
@@ -300,19 +328,23 @@ DEFAULT_LEIBNIZ_CAP = 24
 
 
 def _machin() -> CReal:
-    return _Sub(_Scale2(_AtanRat(1, 5), 4), _Scale2(_AtanRat(1, 239), 2))
+    return _Ladder(kernels.pi_within)
 
 
 def pi(method: str = "machin", *, leibniz_cap: int | None = None) -> CReal:
     """The circle constant, by one of three routes.
 
-    "machin": 16 atan(1/5) - 4 atan(1/239); the production route.
+    "machin": 16 atan(1/5) - 4 atan(1/239) by binary splitting; the
+    production route.
     "cos_iteration": twice the limit of p <- p + cos(p).
     "leibniz": four times the alternating odd-reciprocal series, capped
     at ``leibniz_cap`` (default 24) bits of precision because its cost
     grows as 2**k.
 
-    Nodes are cached, so repeated calls share approximation work.
+    Each route (and each leibniz cap) has one node per process, so
+    repeated calls share approximation work.  The machin node reads pi
+    off a precision ladder ("Constant ladder" in kernels.py): it
+    computes pi once per rung, and approx(k) still depends on k alone.
     """
     if method == "leibniz":
         cap = DEFAULT_LEIBNIZ_CAP if leibniz_cap is None else leibniz_cap

@@ -188,18 +188,6 @@ def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
     return clamp_unit(v)
 
 
-_LN2_CACHE: dict = {}
-
-
-def _ln2_point(t: int) -> BigDyadic:
-    """ln 2 within 2**-t."""
-    v = _LN2_CACHE.get(t)
-    if v is None:
-        v = -kernels.ln1p_within(dyadic(-1, -1), t)
-        _LN2_CACHE[t] = v
-    return v
-
-
 def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
     """ln(d) within 2**-t, for an exact dyadic d > 0."""
     if d.sign() <= 0:
@@ -216,14 +204,13 @@ def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
     if ebase == 0:
         return kernels.ln1p_within(tv, t + 1)
     tl = t + 2 + abs(ebase).bit_length()
-    return kernels.ln1p_within(tv, t + 2) + _ln2_point(tl).mul_int(ebase)
+    return (kernels.ln1p_within(tv, t + 2)
+            + kernels.ln2_within(tl).mul_int(ebase))
 
 
 def _pi_point(t: int) -> BigDyadic:
-    """pi = 16 atan(1/5) - 4 atan(1/239), within 2**-t."""
-    a = kernels.atan_within(1, 5, t + 5)
-    b = kernels.atan_within(1, 239, t + 5)
-    return a.scale2(4) - b.scale2(2)
+    """pi within 2**-t."""
+    return kernels.pi_within(t)
 
 
 # -- expression evaluation ------------------------------------------------

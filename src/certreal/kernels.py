@@ -2,10 +2,12 @@
 
 Every transcendental in the package reaches its error bound through one
 step: pick a term cap and a working width, run a fixed-point series
-kernel, and read the result back as a dyadic.  This module is that
-step, written once.  The approximation backend (functions.py) and the
-interval backend (intervals.py) both call it; argument reduction and
-reconstruction stay with each backend.
+kernel, and read the result back as a dyadic; or, for an exact
+rational argument, sum the series exactly by binary splitting and
+round once.  This module is that step, written once.  The
+approximation backend (functions.py) and the interval backend
+(intervals.py) both call it; argument reduction and reconstruction
+stay with each backend.
 
 Kernels
 -------
@@ -58,11 +60,98 @@ even near 1500 bits and are 1.2x faster at 2000, 1.5x at 4000 and
 2.6x at 13000.  Each error budget charges per step (one bit per
 halving, four per tripling), so it holds for any depth at or above the
 range's.
+
+Binary splitting
+----------------
+``atan_split(p, q, t, hyperbolic)`` returns arctan(u), or artanh(u),
+within 2**-t for an exact rational u = p/q with q > 0 and |u| <= 1/2,
+from
+
+    u * sum over n >= 0 of (-+ u**2)**n / (2n + 1)
+
+(Haible & Papanikolaou, "Fast multiprecision evaluation of series of
+rational numbers", 1998; Brent & Zimmermann, *Modern Computer
+Arithmetic* §4.9).  ``_split`` writes the first n terms as one
+fraction T / (B Q) of exact integers, built by halving the index
+range and combining the halves' products, so the large products are
+few and of balanced size.  Nothing is rounded before the end.
+
+- Term count.  After n terms the tail is at most |u|**(2n+1) / (2n+1)
+  for atan (alternating, with decreasing terms) and at most that over
+  1 - u**2 for artanh (geometric majorant).  ``_cap_split`` is the
+  least n with
+
+      |p|**(2n+1) q**2 2**(t+1)  <=  q**(2n+1) (2n+1) (q**2 - h p**2),
+
+  h = 0 for atan and 1 for artanh: the tail bound, at most 2**-(t+1),
+  with denominators cleared.  The left side shrinks against the right
+  as n grows, so ``_least`` finds it.
+- One rounding.  The result is the nearest multiple of 2**-(t+1) to
+  p T / (q B Q): at most 2**-(t+2) off.
+- Error total: 2**-(t+1) + 2**-(t+2) < 2**-t.
+
+``pi_within(t)`` is 16 atan(1/5) - 4 atan(1/239) with the two terms at
+t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t; scaling and
+subtracting dyadics is exact), and ``ln2_within(t)`` is 2 atanh(1/3)
+with the term at t+1.  ``ln_window(a, b)`` writes a rational a/b > 0
+as 2**e (q+p)/(q-p) with p/q in (-1/5, 1/7], so that
+ln(a/b) = e ln 2 + 2 atanh(p/q); the approximation backend takes that
+path for a literal argument of ln when ``split_pays`` says so.
+
+Splitting pays only for a short denominator.  The artanh series needs
+about t / (2 log2 |q/p|) terms, and each term adds about 2 log2 q bits
+to Q, so the final products and the division are about
+t bits(q) / log2 |q/p| bits wide, where the fixed-point ``ln1p``
+kernel runs one t-bit product per term.  ``split_pays(q, t)`` is
+2 bits(q)**2 <= t, fitted to where the two routes cross.  Measured
+(CPython 3.11, one core of a shared 2-CPU machine) on ln of four
+seeded literals per size, as the time of atanh by ``atan_split`` over
+that of the ``ln1p`` route, min-max; ``*`` where the predicate picks
+splitting for all four literals, ``+`` for some:
+
+    digits  bits(q)  t = 500    1000       2000       4000       8000
+     4      13-15    0.38-0.67* 0.33-0.52* 0.15-0.29* 0.08-0.16* 0.04-0.09*
+     8      21-28    0.78-1.10  0.66-1.02+ 0.42-0.62* 0.17-0.31* 0.12-0.25*
+    12      36-40    1.40-1.67  1.31-1.77  0.91-1.06  0.45-0.72* 0.22-0.66*
+    17      55-56    2.5-4.6    1.6-3.7    1.4-2.2    0.79-1.27  0.55-1.47*
+    24      78-81    3.5-6.3    4.5-6.1    2.7-4.4    1.1-1.9    0.75-1.13
+    36      118-120  8.1-13     8.1-13     5.6-7.5    2.9-3.6    1.5-1.9
+    100     329-333  20-71      36-109     24-39      11-19      7.5-12
+
+At t = 13000 the rows read 0.03-0.08*, 0.10-0.19*, 0.16-0.42*,
+0.25-1.18*, 0.55-0.72+, 0.79-1.35 and 4.9-6.6.  Binary splitting
+does not pay for ``atan_rat``'s arbitrary p/q either: near 1/2, with
+a 20-bit or 64-bit q, it takes 1.2-1.8 times as long as
+``atan_series`` at t = 1000-13000, so ``atan_rat`` keeps the latter.
+
+Constant ladder
+---------------
+pi and ln 2 are process-wide shared nodes (functions._Ladder), and a
+stream of queries asks them for a fresh precision each time.  Their
+raw value at j is
+
+    raw(j) = grid_round(within(J + 1), j + 1),    J = ladder_rung(j),
+
+where ``ladder_rung`` rounds j up to its three leading bits, so
+j <= J < 1.25 j (J = j below 8), and ``within`` is ``pi_within`` or
+``ln2_within``.  within(J + 1) is computed once per rung and kept;
+every other precision up to that rung is a grid rounding of it.
+
+- Error: 2**-(J+1) + 2**-(j+2) <= (3/4) 2**-j, inside the raw
+  contract of 2**-j.
+- Determinism: J is a function of j alone, and within and grid_round
+  are deterministic, so raw(j) is a function of j alone, and
+  approx(k) = grid_round(raw(k+2), k+1) one of k alone.  Neither
+  depends on which precisions were asked before, in what order, or by
+  how many threads; two threads racing on one rung store the
+  identical value.
+- Cost: a one-shot query computes its constant at under 1.25 times
+  the precision it asked for.
 """
 
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
-from .dyadic import BigDyadic, dyadic, shift_nearest
+from .dyadic import BigDyadic, ZERO, div_nearest, dyadic, shift_nearest
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -302,3 +391,99 @@ def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:
     cap = _cap_ln1p(t)
     w = _width(t, cap)
     return dyadic(ln1p_series(_to_scaled(v, w), w, cap), -w)
+
+
+# -- binary splitting -----------------------------------------------------
+
+# Below this many terms a range of the series is summed by a plain loop:
+# recursing further costs more in calls than it saves in product sizes.
+_SPLIT_LEAF = 8
+
+
+def _split(n1: int, n2: int, y: int, z: int):
+    """(P, Q, B, T) for the terms n1 <= n < n2 of sum (y/z)**n / (2n+1).
+
+    Term n is r(1) ... r(n) / (2n+1) with ratios r(i) = y/z (r(0) = 1).
+    P and Q are the products of the ratios' numerators and denominators
+    over the range, B the product of the 2n+1, and T = B Q S, where S
+    is the range's sum over r(1) ... r(n1-1).  All are exact integers;
+    the halves [n1, m) and [m, n2) combine as P1 P2, Q1 Q2, B1 B2 and
+    B2 Q2 T1 + B1 P1 T2.
+    """
+    if n2 - n1 <= _SPLIT_LEAF:
+        pp = qq = bb = 1
+        tt = 0
+        for n in range(n1, n2):
+            if n:
+                tt = tt * (2 * n + 1) * z + bb * pp * y
+                pp *= y
+                qq *= z
+                bb *= 2 * n + 1
+            else:
+                tt = 1
+        return pp, qq, bb, tt
+    m = (n1 + n2) // 2
+    p1, q1, b1, t1 = _split(n1, m, y, z)
+    p2, q2, b2, t2 = _split(m, n2, y, z)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+def _cap_split(t: int, p: int, q: int, hyperbolic: bool) -> int:
+    # least n with tail <= 2**-(t+1): |u|**(2n+1) / (2n+1), times
+    # q**2 / (q**2 - p**2) for atanh, u = p/q
+    pa = abs(p)
+    h = pa * pa if hyperbolic else 0
+    return _least(lambda n: pa ** (2 * n + 1) * q * q << (t + 1)
+                  <= q ** (2 * n + 1) * (2 * n + 1) * (q * q - h))
+
+
+def atan_split(p: int, q: int, t: int, hyperbolic: bool = False) -> BigDyadic:
+    """arctan(p/q), or artanh(p/q) if hyperbolic, within 2**-t, for q > 0
+    and |p/q| <= 1/2, by binary splitting."""
+    w = budget(t + 1)
+    n = _cap_split(t, p, q, hyperbolic)
+    if n == 0:
+        return ZERO
+    _, qq, bb, tt = _split(0, n, p * p if hyperbolic else -p * p, q * q)
+    return dyadic(div_nearest(p * tt << w, q * bb * qq), -w)
+
+
+def pi_within(t: int) -> BigDyadic:
+    """pi = 16 atan(1/5) - 4 atan(1/239) within 2**-t."""
+    return (atan_split(1, 5, t + 5).scale2(4)
+            - atan_split(1, 239, t + 3).scale2(2))
+
+
+def ln2_within(t: int) -> BigDyadic:
+    """ln 2 = 2 atanh(1/3) within 2**-t."""
+    return atan_split(1, 3, t + 1, hyperbolic=True).scale2(1)
+
+
+def ln_window(a: int, b: int):
+    """(e, p, q) with a/b = 2**e * (q + p)/(q - p), for a, b > 0.
+
+    (q + p)/(q - p) lies in (2/3, 4/3], so p/q, in lowest terms with
+    q > 0, lies in (-1/5, 1/7] and ln(a/b) = e ln 2 + 2 atanh(p/q).
+    """
+    # least e with 3a/4 <= 2**e b; then 2**(e-1) b < 3a/4 as well
+    e = (3 * a).bit_length() - (4 * b).bit_length()
+    while 3 * a << max(0, -e) > 4 * b << max(0, e):
+        e += 1
+    while 3 * a << max(0, 1 - e) <= 4 * b << max(0, e - 1):
+        e -= 1
+    c, d = (a, b << e) if e >= 0 else (a << -e, b)
+    p, q = c - d, c + d
+    g = gcd(p, q)
+    return e, p // g, q // g
+
+
+def split_pays(q: int, t: int) -> bool:
+    """Whether atan_split beats the fixed-point series at target t for an
+    argument with denominator q (see "Binary splitting" above)."""
+    return 2 * q.bit_length() ** 2 <= t
+
+
+def ladder_rung(j: int) -> int:
+    """j rounded up to its three leading bits: j <= rung < 1.25 j."""
+    s = max(0, j.bit_length() - 3)
+    return -(-j >> s) << s

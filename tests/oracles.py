@@ -247,6 +247,21 @@ def _cap_ln1p(t: int) -> int:
     return n + 1
 
 
+
+def _cap_split(t: int, p: int, q: int, hyperbolic: bool) -> int:
+    # terms of the atan (atanh) series at u = p/q after which the tail,
+    # at most |u|**(2n+1) / (2n+1) (over 1 - u**2 for atanh), is at
+    # most 2**-(t+1)
+    pa = abs(p)
+    h = pa * pa if hyperbolic else 0
+    n, pn, pd = 0, pa, q
+    bound = 1 << (t + 1)
+    while pn * q * q * bound > pd * (2 * n + 1) * (q * q - h):
+        n += 1
+        pn *= pa * pa
+        pd *= q * q
+    return n
+
 # -- interval evaluation over the expression AST --------------------------
 
 class OracleDomainError(Exception):

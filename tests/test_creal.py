@@ -1,5 +1,6 @@
 """Approximation contract, regularity, certificates, comparison."""
 
+import itertools
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certreal import creal
+from certreal import creal, functions, kernels
 from certreal.creal import (ApartnessCertificate, Exhausted, Proved, Refuted,
                             archimedean_bound, cmp_semidecide, const,
                             deepening_schedule, div, find_apart, lim, recip,
@@ -281,3 +282,59 @@ def test_node_footprint():
     finally:
         tracemalloc.stop()
     assert per_node <= 200, per_node
+
+
+# -- budgets under leaves that spend their whole error ----------------------
+#
+# A const is far more exact than 2**-j, and that slack hides a missing
+# bit in a budget above it.  _Worst is a leaf whose raw value at j is
+# off by exactly 2**-j, in the direction of its sign, so every budget in
+# the dag above it is spent in full.
+
+class _Worst(creal.CReal):
+    __slots__ = ("exact", "sign")
+
+    def __init__(self, exact, sign: int):
+        super().__init__()
+        self.exact, self.sign = exact, sign
+
+    def _compute(self, j: int):
+        return self.exact + dyadic(self.sign, -j)
+
+
+# magnitudes just under a power of two, where the operand bounds in _Mul
+# are tightest, and odd mantissas with long expansions
+_WORST_VALUES = (dyadic(15), dyadic(-15), dyadic(15, -4), dyadic(7, 5),
+                 dyadic(3), dyadic(-341, -10), dyadic(0x5a3c96f1d3, -37))
+
+
+def _worst_leaves():
+    return [(v, s) for v in _WORST_VALUES for s in (1, -1)]
+
+
+def _assert_raw_honest(node, exact, js):
+    for j in js:
+        assert abs(node._raw(j).as_fraction() - exact) <= _tol(j), j
+
+
+def test_ring_op_budgets_under_worst_leaves():
+    for (a, sa), (b, sb) in itertools.product(_worst_leaves(), repeat=2):
+        x, y = _Worst(a, sa), _Worst(b, sb)
+        va, vb = a.as_fraction(), b.as_fraction()
+        for node, exact in ((x + y, va + vb), (x - y, va - vb),
+                            (x * y, va * vb), (-x, -va)):
+            _assert_raw_honest(node, exact, range(48))
+        for s in (-3, 1, 4):
+            _assert_raw_honest(scale2(x, s), va * Fraction(2) ** s,
+                               range(48))
+
+
+def test_ladder_error_total_under_a_worst_source():
+    # kernels.py "Constant ladder": raw(j) is within
+    # 2**-(J+1) + 2**-(j+2) of the constant, J = ladder_rung(j)
+    for exact, sign in _worst_leaves():
+        node = functions._Ladder(_Worst(exact, sign)._compute)
+        for j in range(300):
+            rung = kernels.ladder_rung(j)
+            err = abs(node._raw(j).as_fraction() - exact.as_fraction())
+            assert err <= _tol(rung + 1) + _tol(j + 2), j

@@ -1,8 +1,12 @@
 """Transcendental nodes against the exact-rational oracles."""
 
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,3 +246,106 @@ def test_function_results_deterministic():
     c = sin(pi()).approx(90)
     d = sin(pi()).approx(90)
     assert c == d
+
+
+# -- ln of a literal, and the ladder under pi and ln 2 ----------------------
+
+def _literal_ln(v, k):
+    x = const(v)
+    return ln(x, find_apart(x)).approx(k)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_ln_literal_honest(monkeypatch, split):
+    # both routes for every literal, whatever kernels.split_pays picks
+    monkeypatch.setattr(functions.kernels, "split_pays", lambda q, t: split)
+    rng = random.Random("ln-literal")
+    cases = [(Fraction(rng.randint(1, 10 ** 5), 10 ** rng.randint(0, 5)),
+              rng.randint(8, 600)) for _ in range(8)]
+    cases += [(v, k) for k in (900, 4000)
+              for v in (Fraction(3), Fraction(117, 100), Fraction(1, 10 ** 6))]
+    for v, k in cases:
+        lo, hi = oracles.ln_bounds(v, k + 10)
+        got = _literal_ln(v, k).as_fraction()
+        assert lo - _tol(k) <= got <= hi + _tol(k), (v, k)
+
+
+def test_ln_literal_routes_agree_at_20000_bits(monkeypatch):
+    k = 20000
+    routes = []
+    for split in (True, False):
+        monkeypatch.setattr(functions.kernels, "split_pays",
+                            lambda q, t: split)
+        routes.append(_literal_ln(Fraction(1166, 100), k).as_fraction())
+    assert abs(routes[0] - routes[1]) <= 2 * _tol(k)
+
+
+def test_long_literal_keeps_the_series_route(monkeypatch):
+    real = functions.kernels.atan_split
+    calls = []
+
+    def spy(p, q, t, hyperbolic=False):
+        calls.append(q)
+        return real(p, q, t, hyperbolic)
+
+    monkeypatch.setattr(functions.kernels, "atan_split", spy)
+    rng = random.Random("long-literal")
+    long = Fraction(rng.randint(10 ** 99, 10 ** 100 - 1), 10 ** 99)
+    for k in (1000, 4000, 13000):
+        _literal_ln(long, k)
+    # ln 2 (atanh(1/3)) is the only binary splitting run
+    assert set(calls) <= {3}
+    _literal_ln(Fraction(1166, 100), 1000)
+    assert set(calls) - {3}
+
+
+# Precisions asked of the pi and ln 2 ladders, on both sides of every
+# rung boundary up to 3584 bits: approx(k) reads raw(k + 2), so
+# k = rung - 2 reads the rung itself and k = rung - 1 the next one up.
+# A ladder that rounds from another rung it happens to hold can give
+# different bits there.
+_LADDER_K = tuple(sorted({(m << s) - d for m in (4, 5, 6, 7)
+                          for s in range(1, 10) for d in (1, 2)}))
+
+# ln of a literal (binary splitting from j = 18 on) and of a sum (the
+# ln1p route), both with e ln 2 from the ln 2 ladder
+_LADDER_LN = ("ln(3)", "ln(1 + 2)")
+
+
+def _ladder_bits():
+    nodes = [pi(), functions._ln2()] + [
+        lang.elaborate(lang.parse_expression(t)) for t in _LADDER_LN]
+    return [f"{q.mantissa:x}:{q.exponent}" for k in _LADDER_K
+            for q in (node.approx(k) for node in nodes)]
+
+
+def _fresh_process_bits():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_functions as t; "
+         "print(*t._ladder_bits())"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_ladder_bits_do_not_depend_on_history():
+    fresh = _fresh_process_bits()
+    functions._SHARED_NODES.clear()
+    # a seeded warm-up fills other rungs and precisions first
+    rng = random.Random("ladder-warmup")
+    for _ in range(40):
+        k = rng.randint(0, 7000)
+        pi().approx(k)
+        functions._ln2().approx(k)
+    assert _ladder_bits() == fresh
+    # and again, with every rung already computed
+    assert _ladder_bits() == fresh
+
+
+def test_ladder_bits_identical_under_threads():
+    fresh = _fresh_process_bits()
+    functions._SHARED_NODES.clear()
+    assert _in_threads(_ladder_bits) == [fresh] * 8

@@ -4,6 +4,7 @@ whole argument range."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,3 +166,85 @@ def test_cap_equals_linear_scan(name):
 def test_atan_cap_equals_linear_scan(p, q):
     for t in _cap_targets():
         assert kernels._cap_atan(t, p, q) == oracles._cap_atan(t, p, q), t
+
+
+# -- binary splitting and the constants built on it ------------------------
+
+# the Machin pair, ln 2's 1/3, both ends of the range, zero, the ends of
+# ln_window's range and a literal's window
+_SPLIT_ARGS = [(1, 5), (1, 239), (1, 3), (1, 2), (-1, 2), (0, 3), (-1, 5),
+               (1, 7), (-217, 1383), (3, 7)]
+
+
+@pytest.mark.parametrize("p,q", _SPLIT_ARGS)
+def test_split_cap_equals_linear_scan(p, q):
+    for t in _cap_targets():
+        for h in (False, True):
+            assert (kernels._cap_split(t, p, q, h)
+                    == oracles._cap_split(t, p, q, h)), (t, h)
+
+
+def _atanh_bounds(p, q, bits):
+    # atanh(u) = ln((1 + u) / (1 - u)) / 2
+    lo, hi = oracles.ln_bounds(Fraction(q + p, q - p), bits)
+    return lo / 2, hi / 2
+
+
+def test_atan_split_within_target():
+    rng = random.Random("split")
+    for t in _targets(rng):
+        q = rng.randint(2, 1 << 20)
+        for p in (q // 2, -(q // 2), rng.randint(-(q // 2), q // 2)):
+            lo, hi = oracles.atan_bounds(p, q, t + 20)
+            _assert_within(kernels.atan_split(p, q, t), lo, hi, t)
+            lo, hi = _atanh_bounds(p, q, t + 20)
+            _assert_within(kernels.atan_split(p, q, t, hyperbolic=True),
+                           lo, hi, t)
+
+
+@pytest.mark.parametrize("name", ["pi", "ln2"])
+def test_constant_within_target(name):
+    within, bounds = {"pi": (kernels.pi_within, oracles.pi_bounds),
+                      "ln2": (kernels.ln2_within, oracles.ln2_bounds)}[name]
+    rng = random.Random(name)
+    for t in _targets(rng) + [900, 4000]:
+        lo, hi = bounds(t + 20)
+        _assert_within(within(t), lo, hi, t)
+
+
+def test_constants_agree_with_fixed_point_series_at_20000_bits():
+    t = 20000
+    tol = Fraction(2, 1 << t)
+    machin = (kernels.atan_within(1, 5, t + 5).scale2(4)
+              - kernels.atan_within(1, 239, t + 3).scale2(2))
+    assert abs((kernels.pi_within(t) - machin).as_fraction()) <= tol
+    ln2 = -kernels.ln1p_within(dyadic(-1, -1), t)
+    assert abs((kernels.ln2_within(t) - ln2).as_fraction()) <= tol
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30))
+def test_ln_window(a, b):
+    e, p, q = kernels.ln_window(a, b)
+    assert q > 0 and gcd(p, q) == 1
+    assert Fraction(-1, 5) < Fraction(p, q) <= Fraction(1, 7)
+    assert Fraction(a, b) == Fraction(2) ** e * Fraction(q + p, q - p)
+
+
+def _three_bits(r):
+    return r % (1 << max(0, r.bit_length() - 3)) == 0
+
+
+def test_ladder_rung():
+    for j in range(2049):
+        # the least r >= j whose binary digits after the leading three
+        # are zero
+        r = j
+        while not _three_bits(r):
+            r += 1
+        assert kernels.ladder_rung(j) == r, j
+        assert r == j if j < 8 else j <= r < 1.25 * j
+    rng = random.Random("rungs")
+    for j in (rng.randint(2049, 1 << 22) for _ in range(200)):
+        r = kernels.ladder_rung(j)
+        assert _three_bits(r) and j <= r < 1.25 * j, j
