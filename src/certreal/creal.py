@@ -450,6 +450,30 @@ def _enclosure(q: BigDyadic, k: int) -> Interval:
     return Interval(q - r, q + r)
 
 
+def _deepen(enclose, relation: str, backend: str,
+            start_k: int, max_k: int) -> ProofOutcome:
+    """Semi-decide lhs < rhs, or lhs > rhs, by deepening enclosures.
+
+    enclose(k) returns the pair (lhs, rhs) of enclosures at precision
+    k, or None when it cannot enclose at k; k is then skipped.  The
+    outcome and its trace are in the query's orientation, with every
+    step tagged with the backend's name.
+    """
+    trace = []
+    for k in deepening_schedule(start_k, max_k):
+        pair = enclose(k)
+        if pair is None:
+            continue
+        lhs, rhs = pair
+        trace.append(TraceStep(k, lhs, rhs, backend))
+        below, above = (lhs, rhs) if relation == "<" else (rhs, lhs)
+        if below.hi < above.lo:
+            return Proved(k, lhs, rhs, tuple(trace), relation)
+        if above.hi < below.lo:
+            return Refuted(k, lhs, rhs, tuple(trace), relation)
+    return Exhausted(max_k, tuple(trace), relation)
+
+
 def cmp_semidecide(x: CReal, y: CReal,
                    start_k: int = 1, max_k: int = 4096) -> ProofOutcome:
     """Semi-decide the strict inequality x < y.
@@ -460,16 +484,9 @@ def cmp_semidecide(x: CReal, y: CReal,
     overlap, in which case precision deepens.  Equal numbers always end
     Exhausted; that outcome proves nothing.
     """
-    trace = []
-    for k in deepening_schedule(start_k, max_k):
-        ex = _enclosure(x.approx(k), k)
-        ey = _enclosure(y.approx(k), k)
-        trace.append(TraceStep(k, ex, ey))
-        if ex.hi < ey.lo:
-            return Proved(k, ex, ey, tuple(trace))
-        if ey.hi < ex.lo:
-            return Refuted(k, ex, ey, tuple(trace))
-    return Exhausted(max_k, tuple(trace))
+    return _deepen(lambda k: (_enclosure(x.approx(k), k),
+                              _enclosure(y.approx(k), k)),
+                   "<", "approx", start_k, max_k)
 
 
 def archimedean_bound(x: CReal) -> int:

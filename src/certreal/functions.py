@@ -1,12 +1,13 @@
 """Transcendental functions as computable-real nodes.
 
-Each node follows the same recipe: derive coarse magnitude bounds from
-a cheap approximation of the argument, reduce the argument into the
-convergence range of a fixed-point series kernel, evaluate it through
-the shared series layer (kernels.py, which owns term caps and working
-widths), and undo the reduction while accounting for every rounding in
-an error budget that lands the final result within 2**-j of the true
-value.
+Each node derives coarse magnitude bounds from a cheap approximation
+of the argument and hands the rest to the shared kernels layer
+(kernels.py): exp, sin and cos to its reductions, which read the
+argument at the precision their budget needs and return a value within
+2**-(j+1), and ln and the constants to its series and binary
+splitting.  Every rounding here goes through creal.grid_round, looked
+up at each call, and the last one puts the result within 2**-j of the
+true value.
 
 Everything is integer arithmetic; there is no float anywhere on these
 paths, so results are deterministic bit for bit.
@@ -20,7 +21,7 @@ from typing import Callable
 from . import creal as _cr
 from . import kernels
 from .creal import ApartnessCertificate, CReal, const, lim, series_sum
-from .dyadic import BigDyadic, ONE, clamp_unit, div_nearest, dyadic
+from .dyadic import BigDyadic, ONE, dyadic
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
@@ -34,26 +35,10 @@ class _Exp(CReal):
 
     def _compute(self, j: int) -> BigDyadic:
         q0 = self.x.approx(0)
-        # 2**eb bounds exp(x): exp(h) <= 2**(1.5 h) for integer h >= x
-        h = q0.ceil() + 1
-        eb = max(0, (3 * h + 1) // 2)
-        # halvings until |x| / 2**m <= 1/2 (|x| <= |q0| + 1 <= 2**a),
-        # and more at high precision (kernels.extra_halvings)
+        # |x| <= |q0| + 1 and x <= ceil(q0) + 1
         a = (abs(q0) + ONE).ceil_log2()
-        m = a + 1 + kernels.extra_halvings(j)
-        amp = m + eb + 1
-        ts = budget(j + 4 + amp)
-        xv = self.x._raw(ts)
-        r = xv.scale2(-m)
-        v = kernels.exp_within(r, ts)
-        # |v - exp(true r)| <= 2**-ts + 2 * 2**-(ts+m) <= 2**-(ts-2).
-        # Each squaring at grid ts adds half an ulp; the total error
-        # after m squarings is below 2**amp * (2**-(ts-2) + 2**-ts)
-        # <= 2**-(j+1), because products of the 2|v_i| telescope to at
-        # most 2**(m + eb + 1).  That holds for any m at or above the
-        # count the range needs: each extra halving costs one bit of ts.
-        for _ in range(m):
-            v = _cr.grid_round(v * v, ts)
+        v = kernels.exp_reduced(self.x._raw, q0.ceil() + 1, a, j + 1,
+                                _cr.grid_round)
         return _cr.grid_round(v, j + 1)
 
 
@@ -66,46 +51,10 @@ class _SinCos(CReal):
         self.want_sin = want_sin
 
     def _compute(self, j: int) -> BigDyadic:
-        q0 = self.x.approx(0)
-        bound = abs(q0) + ONE
-        m, p3 = 0, 1
-        while bound > dyadic(p3):
-            m += 1
-            p3 *= 3
-        # and more at high precision (kernels.extra_triplings)
-        extra = kernels.extra_triplings(j)
-        m += extra
-        p3 *= 3 ** extra
-        # per untripling step the error grows by at most 2**4 (the
-        # triple-angle maps have derivative bounded by 9 on [-1, 1],
-        # slightly more before clamping) plus half an ulp.  That holds
-        # for any m at or above the count the range needs: each extra
-        # tripling costs four bits of ts.
-        amp = 4 * m + 1
-        ts = budget(j + 4 + amp)
-        xv = self.x._raw(ts)
-        if m == 0:
-            r = xv
-        else:
-            mm, ee = xv.mantissa, xv.exponent
-            g = ts + 2
-            shift = ee + g
-            if shift >= 0:
-                r = dyadic(div_nearest(mm << shift, p3), -g)
-            else:
-                r = dyadic(div_nearest(mm, p3 << -shift), -g)
-        if self.want_sin:
-            v = kernels.sin_within(r, ts)
-        else:
-            v = kernels.cos_within(r, ts)
-        for _ in range(m):
-            v = clamp_unit(v)
-            v3 = v * v * v
-            if self.want_sin:
-                v = _cr.grid_round(v.mul_int(3) - v3.mul_int(4), ts)
-            else:
-                v = _cr.grid_round(v3.mul_int(4) - v.mul_int(3), ts)
-        return _cr.grid_round(clamp_unit(v), j + 1)
+        bound = abs(self.x.approx(0)) + ONE
+        v = kernels.sincos_reduced(self.x._raw, bound, j + 1, self.want_sin,
+                                   _cr.grid_round)
+        return _cr.grid_round(v, j + 1)
 
 
 class _Ln(CReal):

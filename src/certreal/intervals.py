@@ -1,13 +1,13 @@
 """Outward-rounded dyadic interval arithmetic.
 
-This is the package's second, independent evaluation backend.  It
-shares the series layer (kernels.py: term caps, working widths and the
-fixed-point kernels, with the contract "dyadic in, dyadic within 2**-t
-out") with the approximation backend and nothing above it: arguments
-here are exact dyadic interval endpoints, reductions work on exact
-values with their own budgets, and all rounding of the enclosures is
-directed outward, so every produced interval provably contains the
-exact value of the expression.
+This is the package's second evaluation backend.  It shares the
+kernels layer (kernels.py: the series, the constants, and the exp,
+sin and cos reductions, each with the contract "value within 2**-t")
+with the approximation backend.  What it keeps to itself is everything
+above that: arguments here are exact dyadic interval endpoints, its
+roundings use dyadic.round_to rather than creal.grid_round, ln has its
+own window, and every enclosure is rounded outward, so every produced
+interval provably contains the exact value of the expression.
 
 The point of having two backends is cross-checking: conformance_check
 compares an interval enclosure against the approximation backend's
@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .dyadic import (BigDyadic, ONE, clamp_unit, dyadic, div_nearest,
-                     power_of_two, round_ceil, round_floor, round_to)
+from .dyadic import (BigDyadic, ONE, clamp_unit, dyadic, power_of_two,
+                     round_ceil, round_floor, round_to)
 from .errors import DomainUndetermined, DomainViolation
-from .kernels import budget
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,70 +121,24 @@ def idiv(a: Interval, b: Interval, w: int) -> Interval:
 # -- certified point evaluations of the transcendental functions ---------
 #
 # Each _*_point helper takes an exact dyadic argument and a target t and
-# returns a value within 2**-t of the true function value.  They reach
-# the series through the shared kernels layer but carry their own
-# reduction and budget logic over exact arguments.
+# returns a value within 2**-t of the true function value.  exp, sin and
+# cos go through the shared reductions (kernels.py, "Reductions") with
+# zero argument error and this backend's own rounding, round_to; ln keeps
+# its own window.
 
 
 def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
     """exp(d) within 2**-t, for an exact dyadic d."""
     if d.is_zero():
         return ONE
-    # 2**E bounds exp(d) from above: exp(H) <= 2**(1.5 H) for integer H >= d
-    h = d.ceil()
-    e_bits = max(0, (3 * h + 1) // 2)
-    # halve until the reduced argument is at most 1/2 (exactly: d is
-    # exact), and more at high precision (kernels.extra_halvings)
-    m = max(0, d.ceil_log2() + 1) + kernels.extra_halvings(t)
-    amp = m + e_bits + 1
-    ts = budget(t + 3 + amp)
-    v = kernels.exp_within(d.scale2(-m), ts)
-    # m squarings; total amplification of the series error plus the
-    # per-squaring roundings stays under 2**amp ulps of 2**-ts, for any
-    # m at or above the count the range needs
-    for _ in range(m):
-        v = round_to(v * v, ts)
-    return v
+    return kernels.exp_reduced(lambda s: d, d.ceil(), d.ceil_log2(), t,
+                               round_to)
 
 
 def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
-    # reduce |d| under 1 by dividing by 3**m, evaluate the series, then
-    # walk back up with the triple-angle identities
-    m = 0
-    p3 = 1
-    ad = abs(d)
-    while ad > dyadic(p3):
-        m += 1
-        p3 *= 3
-    # and more at high precision (kernels.extra_triplings)
-    extra = kernels.extra_triplings(t)
-    m += extra
-    p3 *= 3 ** extra
-    # each untripling grows the error by at most 2**4 plus half an ulp
-    # (as in functions._SinCos), for any m at or above the count the
-    # range needs
-    amp = 4 * m + 1
-    ts = budget(t + 3 + amp)
-    if m == 0:
-        r = d
-    else:
-        # nearest division by 3**m on a fine grid; the residue is budgeted
-        mm, ee = d.mantissa, d.exponent
-        g = ts + 2
-        shift = ee + g
-        if shift >= 0:
-            r = dyadic(div_nearest(mm << shift, p3), -g)
-        else:
-            r = dyadic(div_nearest(mm, p3 << -shift), -g)
-    v = kernels.sin_within(r, ts) if want_sin else kernels.cos_within(r, ts)
-    for _ in range(m):
-        v = clamp_unit(v)
-        v3 = v * v * v
-        if want_sin:
-            v = round_to(v.mul_int(3) - v3.mul_int(4), ts)
-        else:
-            v = round_to(v3.mul_int(4) - v.mul_int(3), ts)
-    return clamp_unit(v)
+    """sin(d), or cos(d), within 2**-t, for an exact dyadic d."""
+    return kernels.sincos_reduced(lambda s: d, abs(d), t, want_sin,
+                                  round_to)
 
 
 def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
@@ -206,11 +159,6 @@ def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
     tl = t + 2 + abs(ebase).bit_length()
     return (kernels.ln1p_within(tv, t + 2)
             + kernels.ln2_within(tl).mul_int(ebase))
-
-
-def _pi_point(t: int) -> BigDyadic:
-    """pi within 2**-t."""
-    return kernels.pi_within(t)
 
 
 # -- expression evaluation ------------------------------------------------
@@ -238,7 +186,7 @@ def _eval(e, w: int) -> Interval:
         return Interval(dyadic(scaled // den, -w),
                         dyadic(-((-scaled) // den), -w))
     if isinstance(e, lang.PiConst):
-        return from_point_err(_pi_point(w + 2), r, w)
+        return from_point_err(kernels.pi_within(w + 2), r, w)
     if isinstance(e, lang.Neg):
         return ineg(_eval(e.arg, w))
     if isinstance(e, lang.BinOp):

@@ -1,13 +1,14 @@
-"""The series layer shared by both evaluation backends.
+"""The kernels layer shared by both evaluation backends.
 
 Every transcendental in the package reaches its error bound through one
 step: pick a term cap and a working width, run a fixed-point series
 kernel, and read the result back as a dyadic; or, for an exact
 rational argument, sum the series exactly by binary splitting and
-round once.  This module is that step, written once.  The
+round once.  This module is that step, written once, together with
+the argument reduction and reconstruction of exp, sin and cos.  The
 approximation backend (functions.py) and the interval backend
-(intervals.py) both call it; argument reduction and reconstruction
-stay with each backend.
+(intervals.py) both call it; each keeps its own rounding, its own
+enclosures and its own ln.
 
 Kernels
 -------
@@ -39,25 +40,67 @@ the function value.  The cap makes the analytic tail at most
 2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
 and the half-ulp rounding of the argument below 2**-(t+1) as well.
 
-Reduction depth
----------------
-The backends reduce an exp argument by halving and a sin or cos
-argument by dividing by 3, then undo it by squaring or by the
-triple-angle identities.  The range alone needs only a few steps, but
-at high precision more pay off (Brent & Zimmermann, *Modern Computer
-Arithmetic* §4.3-4.4): one more step costs one or two full-width
-products and shrinks the kernel argument by a constant factor, so the
-kernel stops on term decay after fewer terms; the two balance near
-sqrt(t) steps.  ``extra_halvings(t)`` and ``extra_triplings(t)`` give
-the steps added beyond those the range needs, about sqrt(t) and
-sqrt(t) / 4.  Both are 0 up to 256 bits (triplings up to 1295), where
-an extra step costs more in interpreter overhead than the terms it
-saves.  Timed through intervals._exp_point and _sincos_point on
+Reductions
+----------
+``exp_reduced`` and ``sincos_reduced`` return exp(x), sin(x) or cos(x)
+within 2**-t for any real x the caller can read to any precision.
+``arg(s)`` returns x within 2**-s (the interval backend passes an exact
+dyadic, so its argument error is zero), and ``rnd(v, s)`` rounds v to
+the 2**-s grid, within 2**-(s+1).  The approximation backend passes
+``creal.grid_round``, its one rounding chokepoint, and the interval
+backend ``dyadic.round_to``.
+
+exp halves x m times into the kernel's range, runs the series at a
+working width ts, and squares m times, rounding each square to the
+2**-ts grid.  With |x| <= 2**a, m = max(0, a + 1) + extra halvings
+puts x / 2**m in [-1/2, 1/2].  With hi an integer >= x,
+exp(x) <= 2**(1.5 hi) <= 2**eb, eb = max(0, (3 hi + 1) // 2), and
+amp = m + eb + 1, ts = t + 3 + amp.
+
+- Argument: x is read at ts, so r = arg(ts) / 2**m lies within
+  2**-(ts+m) of x / 2**m, and |exp'| <= 2 there: at most 2**-(ts+m-1).
+- Series: at most 2**-ts.  With the argument term, the reduced value
+  v_0 is within 2**-(ts-2) of exp(x / 2**m).
+- Squarings: an error e in v_i becomes at most
+  e (|v_i| + exp(x / 2**(m-i))) in v_(i+1), plus half an ulp of
+  rounding.  The factors 2 exp(x / 2**(m-i)) telescope to
+  2**m exp(x (1 - 2**-m)) <= 2**(m+eb), so with the slack of the
+  extra bit the series and argument error grows to at most
+  2**amp 2**-(ts-2), and the m roundings, amplified alike, add under
+  2**amp 2**-ts.  Total: 2**-(t+1) + 2**-(t+3) < 2**-t.
+
+sin and cos divide x by 3**m, with 3**m0 the least power of 3 at or
+above the caller's bound on |x| and m = m0 + extra triplings, run the
+series at width ts, and undo the division with the triple-angle maps
+3v - 4v**3 and 4v**3 - 3v, clamping to [-1, 1] and rounding to the
+2**-ts grid after each.  amp = 4 m + 1 and ts = t + 3 + amp.
+
+- Argument: x is read at ts, and the quotient rounded to the
+  2**-(ts+2) grid, so r lies within 2**-ts (1/3**m + 1/8) of x / 3**m
+  (within 2**-ts when m = 0, where r is the argument itself); sin and
+  cos are 1-Lipschitz, so at most 2**-ts.
+- Series: at most 2**-ts; v_0 is within 2**-(ts-1) of the reduced
+  value.
+- Untriplings: the secant slope of either map between two points of
+  [-1, 1] is at most 9 in size, which is under the 2**4 charged per
+  step, and clamping moves toward the true value.  Each rounding adds
+  half an ulp.  The total after m steps is below
+  2**(4m) (2**-(ts-1) + 2**-ts) < 2**(amp+1-ts) = 2**-(t+2).
+
+Depth.  The range alone needs only a few steps, but at high precision
+more pay off (Brent & Zimmermann, *Modern Computer Arithmetic*
+§4.3-4.4): one more step costs one or two full-width products and
+shrinks the kernel argument by a constant factor, so the kernel stops
+on term decay after fewer terms; the two balance near sqrt(t) steps.
+``extra_halvings(t)`` and ``extra_triplings(t)`` give the steps added
+beyond those the range needs, about sqrt(t) and sqrt(t) / 4.  Both are
+0 up to 256 bits (triplings up to 1295), where an extra step costs
+more in interpreter overhead than the terms it saves.  Timed on
 full-width arguments near 3 (CPython 3.11, one core of a shared 2-CPU
 machine), deeper exp reduction breaks even near 500 bits and is 1.5x
 faster at 1000 bits, 3.1x at 4000 and 5.8x at 13000; sin and cos break
 even near 1500 bits and are 1.2x faster at 2000, 1.5x at 4000 and
-2.6x at 13000.  Each error budget charges per step (one bit per
+2.6x at 13000.  Each budget above charges per step (one bit per
 halving, four per tripling), so it holds for any depth at or above the
 range's.
 
@@ -151,7 +194,8 @@ every other precision up to that rung is a grid rounding of it.
 
 from math import factorial, gcd, isqrt
 
-from .dyadic import BigDyadic, ZERO, div_nearest, dyadic, shift_nearest
+from .dyadic import (BigDyadic, ZERO, clamp_unit, div_nearest, dyadic,
+                     shift_nearest)
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -345,19 +389,6 @@ def _width(t: int, cap: int) -> int:
     return budget(t + 2 + (8 * cap + 16).bit_length())
 
 
-# -- reduction depth ------------------------------------------------------
-
-def extra_halvings(t: int) -> int:
-    """Halvings of an exp argument beyond those its range needs, at target t."""
-    return max(0, isqrt(t) - 16)
-
-
-def extra_triplings(t: int) -> int:
-    """Divisions of a sin or cos argument by 3 beyond those its range
-    needs, at target t."""
-    return max(0, isqrt(t) // 4 - 8)
-
-
 def exp_within(r: BigDyadic, t: int) -> BigDyadic:
     """exp(r) within 2**-t, for |r| <= 5/8."""
     cap = _cap_exp(t)
@@ -391,6 +422,71 @@ def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:
     cap = _cap_ln1p(t)
     w = _width(t, cap)
     return dyadic(ln1p_series(_to_scaled(v, w), w, cap), -w)
+
+
+# -- reductions: any argument in, value within 2**-t out ------------------
+
+def extra_halvings(t: int) -> int:
+    """Halvings of an exp argument beyond those its range needs, at target t."""
+    return max(0, isqrt(t) - 16)
+
+
+def extra_triplings(t: int) -> int:
+    """Divisions of a sin or cos argument by 3 beyond those its range
+    needs, at target t."""
+    return max(0, isqrt(t) // 4 - 8)
+
+
+def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> BigDyadic:
+    """exp(x) within 2**-t, for x with |x| <= 2**a and x <= hi.
+
+    ``arg(s)`` returns x within 2**-s and ``rnd(v, s)`` rounds v to the
+    2**-s grid (see "Reductions" above).
+    """
+    eb = max(0, (3 * hi + 1) // 2)
+    m = max(0, a + 1) + extra_halvings(t)
+    amp = m + eb + 1
+    ts = budget(t + 3 + amp)
+    v = exp_within(arg(ts).scale2(-m), ts)
+    for _ in range(m):
+        v = rnd(v * v, ts)
+    return v
+
+
+def sincos_reduced(arg, bound: BigDyadic, t: int, want_sin: bool,
+                   rnd) -> BigDyadic:
+    """sin(x), or cos(x), within 2**-t, for x with |x| <= bound.
+
+    ``arg`` and ``rnd`` are as for exp_reduced.
+    """
+    m, p3 = 0, 1
+    while bound > dyadic(p3):
+        m += 1
+        p3 *= 3
+    extra = extra_triplings(t)
+    m += extra
+    p3 *= 3 ** extra
+    amp = 4 * m + 1
+    ts = budget(t + 3 + amp)
+    r = arg(ts)
+    if m:
+        # nearest quotient on the 2**-(ts+2) grid
+        mm, ee = r.mantissa, r.exponent
+        g = ts + 2
+        shift = ee + g
+        if shift >= 0:
+            r = dyadic(div_nearest(mm << shift, p3), -g)
+        else:
+            r = dyadic(div_nearest(mm, p3 << -shift), -g)
+    v = sin_within(r, ts) if want_sin else cos_within(r, ts)
+    for _ in range(m):
+        v = clamp_unit(v)
+        v3 = v * v * v
+        if want_sin:
+            v = rnd(v.mul_int(3) - v3.mul_int(4), ts)
+        else:
+            v = rnd(v3.mul_int(4) - v.mul_int(3), ts)
+    return clamp_unit(v)
 
 
 # -- binary splitting -----------------------------------------------------

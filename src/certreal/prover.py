@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from . import creal, intervals, lang
 from .creal import (CReal, Exhausted, ProofOutcome, Proved, Refuted,
-                    TraceStep, cmp_semidecide, const, deepening_schedule,
-                    series_sum)
+                    TraceStep, cmp_semidecide, const, series_sum)
 from .dyadic import BigDyadic, int_to_decimal
 from .errors import (ConformanceError, DomainUndetermined, ParseError,
                      ResourceExhausted)
@@ -91,46 +90,24 @@ def prove(query, *, start_precision: int = 1,
 
 def _prove_approx(lhs_c: CReal, rhs_c: CReal, relation: str,
                   start_k: int, max_k: int) -> ProofOutcome:
-    if relation == "<":
-        return cmp_semidecide(lhs_c, rhs_c, start_k, max_k)
-    # x > y is semi-decided as y < x, then presented in query orientation
-    out = cmp_semidecide(rhs_c, lhs_c, start_k, max_k)
-    return _swap_orientation(out, ">")
-
-
-def _swap_orientation(out: ProofOutcome, relation: str) -> ProofOutcome:
-    trace = tuple(TraceStep(s.precision, s.rhs, s.lhs, s.backend)
-                  for s in out.trace)
-    if isinstance(out, Exhausted):
-        return Exhausted(out.max_precision, trace, relation)
-    cls = Proved if isinstance(out, Proved) else Refuted
-    return cls(out.precision, out.rhs_enclosure, out.lhs_enclosure,
-               trace, relation)
+    return creal._deepen(
+        lambda k: (creal._enclosure(lhs_c.approx(k), k),
+                   creal._enclosure(rhs_c.approx(k), k)),
+        relation, "approx", start_k, max_k)
 
 
 def _prove_interval(lhs_e, rhs_e, relation: str,
                     start_k: int, max_k: int) -> ProofOutcome:
-    trace = []
-    for k in deepening_schedule(start_k, max_k):
+    def enclose(k):
         try:
-            li = intervals.eval_interval(lhs_e, k).interval
-            ri = intervals.eval_interval(rhs_e, k).interval
+            return (intervals.eval_interval(lhs_e, k).interval,
+                    intervals.eval_interval(rhs_e, k).interval)
         except DomainUndetermined:
             # a sign condition is still ambiguous at this precision;
             # deepen and retry
-            continue
-        trace.append(TraceStep(k, li, ri, "interval"))
-        if relation == "<":
-            if li.hi < ri.lo:
-                return Proved(k, li, ri, tuple(trace), "<")
-            if ri.hi < li.lo:
-                return Refuted(k, li, ri, tuple(trace), "<")
-        else:
-            if li.lo > ri.hi:
-                return Proved(k, li, ri, tuple(trace), ">")
-            if ri.lo > li.hi:
-                return Refuted(k, li, ri, tuple(trace), ">")
-    return Exhausted(max_k, tuple(trace), relation)
+            return None
+
+    return creal._deepen(enclose, relation, "interval", start_k, max_k)
 
 
 def _merge_outcomes(oa: ProofOutcome, oi: ProofOutcome,

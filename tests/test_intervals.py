@@ -1,6 +1,7 @@
 """Outward interval arithmetic and the independent enclosure evaluator."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -122,13 +123,6 @@ def test_point_evaluators_honest_at_high_precision(t):
         assert clo - tol <= cv.as_fraction() <= chi + tol
 
 
-@given(st.integers(4, 200))
-def test_pi_point_honest(t):
-    lo, hi = oracles.pi_bounds(t + 12)
-    tol = Fraction(1, 2 ** t)
-    assert lo - tol <= intervals._pi_point(t).as_fraction() <= hi + tol
-
-
 CLEAN = (
     "1 + 2 * 3",
     "exp(1) - exp(0 - 1)",
@@ -208,6 +202,40 @@ def test_conformance_check_catches_disagreement(monkeypatch):
     monkeypatch.setattr(creal, "grid_round", shifted)
     rep = conformance_check(lang.parse_expression("1 + 2 * 3"), 20)
     assert not rep.passed
+
+
+def test_each_backend_keeps_its_own_rounding(monkeypatch):
+    # the shared reductions round every step through the rounding their
+    # caller passes: creal.grid_round, looked up at each call, for the
+    # approximation backend, so a fault injected there reaches every
+    # step; and round_to for the interval backend, which such a fault
+    # must not reach
+    from certreal import creal, functions, kernels
+
+    honest = creal.grid_round
+    exp3 = intervals._exp_point(dyadic(3), 2000)
+    sin7 = intervals._sincos_point(dyadic(7), 2000, want_sin=True)
+    # 3 and 7 need 3 halvings and 2 triplings for their range
+    cases = ((functions.exp(3), 3 + kernels.extra_halvings(2000)),
+             (functions.sin(7), 2 + kernels.extra_triplings(2000)))
+    for node, steps in cases:
+        grids = Counter()
+
+        def counting(a, k):
+            grids[k] += 1
+            return honest(a, k)
+
+        monkeypatch.setattr(creal, "grid_round", counting)
+        node.approx(2000)
+        # every step of the reduction rounds to one working grid
+        assert max(grids.values()) >= steps, grids
+
+    def broken(a, k):
+        raise AssertionError("interval backend used creal.grid_round")
+
+    monkeypatch.setattr(creal, "grid_round", broken)
+    assert intervals._exp_point(dyadic(3), 2000) == exp3
+    assert intervals._sincos_point(dyadic(7), 2000, want_sin=True) == sin7
 
 
 def test_tan_evaluates_its_argument_once(monkeypatch):

@@ -207,7 +207,7 @@ def test_constant_within_target(name):
     within, bounds = {"pi": (kernels.pi_within, oracles.pi_bounds),
                       "ln2": (kernels.ln2_within, oracles.ln2_bounds)}[name]
     rng = random.Random(name)
-    for t in _targets(rng) + [900, 4000]:
+    for t in [4, 5, 6, 7] + _targets(rng) + [900, 4000]:
         lo, hi = bounds(t + 20)
         _assert_within(within(t), lo, hi, t)
 
