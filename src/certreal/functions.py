@@ -2,9 +2,9 @@
 
 Each node derives coarse magnitude bounds from a cheap approximation
 of the argument and hands the rest to the shared kernels layer
-(kernels.py): exp, sin and cos to its reductions, which read the
+(kernels.py): exp, sin, cos and ln to its reductions, which read the
 argument at the precision their budget needs and return a value within
-2**-(j+1), and ln and the constants to its series and binary
+2**-(j+1), and the constants and ln of a short literal to its binary
 splitting.  Every rounding here goes through creal.grid_round, looked
 up at each call, and the last one puts the result within 2**-j of the
 true value.
@@ -21,7 +21,7 @@ from typing import Callable
 from . import creal as _cr
 from . import kernels
 from .creal import ApartnessCertificate, CReal, const, lim, series_sum
-from .dyadic import BigDyadic, ONE, dyadic
+from .dyadic import BigDyadic, ONE
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
@@ -87,24 +87,8 @@ class _Ln(CReal):
                     tl = budget(j + 2 + abs(e).bit_length())
                     v = v + _ln2()._raw(tl).mul_int(e)
                 return _cr.grid_round(v, j + 1)
-        c = self.cert.witness_precision
-        # with x > 2**-c, an approximation at c+6 has relative error
-        # at most 1/63, so the power-of-two window chosen from it keeps
-        # the series argument u - 1 within [-0.33, 0.40]
-        x0 = self.x.approx(c + 6)
-        mb = x0.mantissa.bit_length()
-        e = x0.exponent + mb - 1
-        if x0.scale2(-e) >= dyadic(11, -3):
-            e += 1
-        p2 = budget(j + 6 + max(0, -e))
-        xv = self.x._raw(p2)
-        tv = xv.scale2(-e) - ONE
-        # series argument error <= 2**-(j+6); d ln(1+t)/dt <= 4 on the
-        # window, so the argument contributes at most 2**-(j+4)
-        v = kernels.ln1p_within(tv, j + 5)
-        if e != 0:
-            tl = budget(j + 4 + abs(e).bit_length())
-            v = v + _ln2()._raw(tl).mul_int(e)
+        v = kernels.ln_reduced(self.x._raw, self.cert.witness_precision,
+                               j + 1, _ln2()._raw)
         return _cr.grid_round(v, j + 1)
 
 

@@ -2,12 +2,12 @@
 
 This is the package's second evaluation backend.  It shares the
 kernels layer (kernels.py: the series, the constants, and the exp,
-sin and cos reductions, each with the contract "value within 2**-t")
-with the approximation backend.  What it keeps to itself is everything
-above that: arguments here are exact dyadic interval endpoints, its
-roundings use dyadic.round_to rather than creal.grid_round, ln has its
-own window, and every enclosure is rounded outward, so every produced
-interval provably contains the exact value of the expression.
+sin, cos and ln reductions, each with the contract "value within
+2**-t") with the approximation backend.  What it keeps to itself is
+everything above that: arguments here are exact dyadic interval
+endpoints, its roundings use dyadic.round_to rather than
+creal.grid_round, and every enclosure is rounded outward, so every
+produced interval provably contains the exact value of the expression.
 
 The point of having two backends is cross-checking: conformance_check
 compares an interval enclosure against the approximation backend's
@@ -121,10 +121,9 @@ def idiv(a: Interval, b: Interval, w: int) -> Interval:
 # -- certified point evaluations of the transcendental functions ---------
 #
 # Each _*_point helper takes an exact dyadic argument and a target t and
-# returns a value within 2**-t of the true function value.  exp, sin and
-# cos go through the shared reductions (kernels.py, "Reductions") with
-# zero argument error and this backend's own rounding, round_to; ln keeps
-# its own window.
+# returns a value within 2**-t of the true function value, from the
+# shared reductions (kernels.py, "Reductions") with zero argument error
+# and, where they round, this backend's own rounding, round_to.
 
 
 def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
@@ -145,20 +144,8 @@ def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
     """ln(d) within 2**-t, for an exact dyadic d > 0."""
     if d.sign() <= 0:
         raise ValueError("ln point evaluation needs a positive argument")
-    m, e = d.mantissa, d.exponent
-    # u = d / 2**ebase lies in [1, 2); shift one more when u >= 3/2 so the
-    # series argument u - 1 satisfies |u - 1| <= 1/2 exactly
-    ebase = e + m.bit_length() - 1
-    u = d.scale2(-ebase)
-    if u >= dyadic(3, -1):
-        ebase += 1
-        u = u.scale2(-1)
-    tv = u - ONE
-    if ebase == 0:
-        return kernels.ln1p_within(tv, t + 1)
-    tl = t + 2 + abs(ebase).bit_length()
-    return (kernels.ln1p_within(tv, t + 2)
-            + kernels.ln2_within(tl).mul_int(ebase))
+    return kernels.ln_reduced(lambda s: d, 1 - d.ceil_log2(), t,
+                              kernels.ln2_within)
 
 
 # -- expression evaluation ------------------------------------------------

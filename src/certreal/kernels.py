@@ -5,10 +5,9 @@ step: pick a term cap and a working width, run a fixed-point series
 kernel, and read the result back as a dyadic; or, for an exact
 rational argument, sum the series exactly by binary splitting and
 round once.  This module is that step, written once, together with
-the argument reduction and reconstruction of exp, sin and cos.  The
-approximation backend (functions.py) and the interval backend
-(intervals.py) both call it; each keeps its own rounding, its own
-enclosures and its own ln.
+the argument reductions of exp, sin, cos and ln.  The approximation
+backend (functions.py) and the interval backend (intervals.py) both
+call it; each keeps its own rounding and its own enclosures.
 
 Kernels
 -------
@@ -42,13 +41,13 @@ and the half-ulp rounding of the argument below 2**-(t+1) as well.
 
 Reductions
 ----------
-``exp_reduced`` and ``sincos_reduced`` return exp(x), sin(x) or cos(x)
-within 2**-t for any real x the caller can read to any precision.
-``arg(s)`` returns x within 2**-s (the interval backend passes an exact
-dyadic, so its argument error is zero), and ``rnd(v, s)`` rounds v to
-the 2**-s grid, within 2**-(s+1).  The approximation backend passes
-``creal.grid_round``, its one rounding chokepoint, and the interval
-backend ``dyadic.round_to``.
+``exp_reduced``, ``sincos_reduced`` and ``ln_reduced`` return exp(x),
+sin(x), cos(x) or ln(x) within 2**-t for any real x the caller can
+read to any precision.  ``arg(s)`` returns x within 2**-s (the
+interval backend passes an exact dyadic, so its argument error is
+zero), and ``rnd(v, s)`` rounds v to the 2**-s grid, within
+2**-(s+1).  The approximation backend passes ``creal.grid_round``, its
+one rounding chokepoint, and the interval backend ``dyadic.round_to``.
 
 exp halves x m times into the kernel's range, runs the series at a
 working width ts, and squares m times, rounding each square to the
@@ -87,6 +86,24 @@ series at width ts, and undo the division with the triple-angle maps
   half an ulp.  The total after m steps is below
   2**(4m) (2**-(ts-1) + 2**-ts) < 2**(amp+1-ts) = 2**-(t+2).
 
+ln needs x > 2**-c.  It takes e from ``ln_window`` on x0 = arg(c + 6),
+so x0 / 2**e lies in (2/3, 4/3], and as |x - x0| < x / 64,
+u = x / 2**e lies in (0.656, 1.355).  It takes s square roots at
+width w = t + s + 6 (ulp 2**-w) and sums the ln1p series on the last;
+ln u = 2**s ln u**(2**-s).  It rounds nothing to a grid, so it takes
+no ``rnd``: the roots are integer floors, and the caller rounds.
+
+- Read: U_0, the nearest integer to u 2**w from arg(w + max(0, -e)),
+  is within 1.5 ulps of u 2**w.
+- Square roots: U_(i+1) = isqrt(U_i 2**w).  Every value stays above
+  0.6, where sqrt carries an error in at most 0.65 times its size, and
+  the floor adds at most one ulp, so the error stays under 3 ulps.
+- Series: ln1p of U_s 2**-w - 1 (at most 0.41 in size) at t + s + 3,
+  within 2**-(t+s+3); ln has slope under 2 there, so the 3 ulps add
+  under 2**-(t+s+3) more.  Times 2**s: within 2**-(t+2).
+- e ln 2: ln2 is read at t + 2 + bitlen(e), so |e| times its error is
+  under 2**-(t+2).  Total: 2**-(t+1).
+
 Depth.  The range alone needs only a few steps, but at high precision
 more pay off (Brent & Zimmermann, *Modern Computer Arithmetic*
 §4.3-4.4): one more step costs one or two full-width products and
@@ -102,7 +119,9 @@ faster at 1000 bits, 3.1x at 4000 and 5.8x at 13000; sin and cos break
 even near 1500 bits and are 1.2x faster at 2000, 1.5x at 4000 and
 2.6x at 13000.  Each budget above charges per step (one bit per
 halving, four per tripling), so it holds for any depth at or above the
-range's.
+range's.  ``extra_sqrts(t)``, about sqrt(t) / 4 and 0 below 400 bits,
+is ln's depth: each root halves ln u, so the series needs fewer terms;
+ln(pi) at 33000 bits takes 0.6 s with it and 6.7 s without.
 
 Binary splitting
 ----------------
@@ -166,6 +185,9 @@ At t = 13000 the rows read 0.03-0.08*, 0.10-0.19*, 0.16-0.42*,
 does not pay for ``atan_rat``'s arbitrary p/q either: near 1/2, with
 a 20-bit or 64-bit q, it takes 1.2-1.8 times as long as
 ``atan_series`` at t = 1000-13000, so ``atan_rat`` keeps the latter.
+The table predates the square roots of ``ln_reduced``, which made the
+series route faster: against it, splitting takes 1.6-5.9 times as long
+on three 17-digit literals at t = 8000, where the predicate picks it.
 
 Constant ladder
 ---------------
@@ -437,6 +459,11 @@ def extra_triplings(t: int) -> int:
     return max(0, isqrt(t) // 4 - 8)
 
 
+def extra_sqrts(t: int) -> int:
+    """Square roots taken of an ln argument before the series, at target t."""
+    return max(0, isqrt(t) // 4 - 4)
+
+
 def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> BigDyadic:
     """exp(x) within 2**-t, for x with |x| <= 2**a and x <= hi.
 
@@ -487,6 +514,26 @@ def sincos_reduced(arg, bound: BigDyadic, t: int, want_sin: bool,
         else:
             v = rnd(v3.mul_int(4) - v.mul_int(3), ts)
     return clamp_unit(v)
+
+
+def ln_reduced(arg, c: int, t: int, ln2) -> BigDyadic:
+    """ln(x) within 2**-t, for x > 2**-c.
+
+    ``arg`` is as for exp_reduced, and ``ln2(s)`` returns ln 2 within
+    2**-s (see "Reductions" above).
+    """
+    x0 = arg(c + 6)
+    m, ex = x0.mantissa, x0.exponent
+    e = ln_window(m << max(0, ex), 1 << max(0, -ex))[0]
+    s = extra_sqrts(t)
+    w = budget(t + s + 6)
+    u = _to_scaled(arg(budget(w + max(0, -e))).scale2(-e), w)
+    for _ in range(s):
+        u = isqrt(u << w)
+    v = ln1p_within(dyadic(u - (1 << w), -w), t + s + 3).scale2(s)
+    if e:
+        v = v + ln2(budget(t + 2 + abs(e).bit_length())).mul_int(e)
+    return v
 
 
 # -- binary splitting -----------------------------------------------------

@@ -153,6 +153,20 @@ def ln_bounds(x: Fraction, bits: int):
     return snap_outward(lo, hi, bits + 64)
 
 
+def ln_of_floor_exp(r: Fraction, bits: int):
+    """(n, err) with n = floor(exp(r) * 2**bits), taken from the exp
+    oracle, and |ln(n / 2**bits) - r| <= err.
+
+    A full-width argument whose ln is known without ln_bounds, whose
+    exact rational series is too slow at these widths.  n / 2**bits is
+    at most hi - lo + 2**-bits below exp(r) and not above it, and ln
+    has slope at most 2**bits / n between the two.
+    """
+    lo, hi = exp_bounds(r, bits)
+    n = _floor(lo * (1 << bits))
+    return n, (hi - lo + Fraction(1, 1 << bits)) * (1 << bits) / n
+
+
 def atan_bounds(p: int, q: int, bits: int):
     """arctan(p/q) for |p/q| <= 1; alternating, first-omitted-term bound."""
     x = Fraction(p, q)

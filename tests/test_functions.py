@@ -118,6 +118,23 @@ def test_sin_cos_tan_honest_at_high_precision(k):
         _check(tan(const(v), find_apart(cos(const(v)))), k, tlo, thi)
 
 
+# ln of a full-width argument, exp(r) rounded down, for r whose window
+# (kernels.ln_reduced) takes e = 0 and e != 0, with u on both sides of
+# 1.  Only at 13000 bits does the series' error, scaled by the 2**s of
+# kernels.extra_sqrts, outgrow the series kernel's width slack.
+LN_FULL_WIDTH = [(k, r) for k in HIGH_K
+                 for r in ("1.15", "0.25", "-0.2", "-2.3")
+                 ] + [(13000, "1.15"), (13000, "-2.3")]
+
+
+@pytest.mark.parametrize("k, r", LN_FULL_WIDTH)
+def test_ln_honest_on_full_width_arguments(k, r):
+    n, err = oracles.ln_of_floor_exp(Fraction(r), k + 16)
+    x = const(n, 1 << (k + 16))
+    got = ln(x, find_apart(x)).approx(k).as_fraction()
+    assert abs(got - Fraction(r)) <= _tol(k) + err
+
+
 def test_ln_certificate_errors():
     neg_cert = find_apart(const(-2))
     assert neg_cert is not None and neg_cert.sign == -1
@@ -307,8 +324,8 @@ def test_long_literal_keeps_the_series_route(monkeypatch):
 _LADDER_K = tuple(sorted({(m << s) - d for m in (4, 5, 6, 7)
                           for s in range(1, 10) for d in (1, 2)}))
 
-# ln of a literal (binary splitting from j = 18 on) and of a sum (the
-# ln1p route), both with e ln 2 from the ln 2 ladder
+# ln of a literal (binary splitting from j = 18 on) and of a sum
+# (kernels.ln_reduced), both with e ln 2 from the ln 2 ladder
 _LADDER_LN = ("ln(3)", "ln(1 + 2)")
 
 

@@ -123,6 +123,22 @@ def test_point_evaluators_honest_at_high_precision(t):
         assert clo - tol <= cv.as_fraction() <= chi + tol
 
 
+# ln of a full-width argument, exp(r) rounded down, for r whose window
+# (kernels.ln_reduced) takes e = 0 and e != 0, with u on both sides of
+# 1.  Only at 13000 bits does the series' error, scaled by the 2**s of
+# kernels.extra_sqrts, outgrow the series kernel's width slack.
+LN_FULL_WIDTH = [(t, r) for t in HIGH_T
+                 for r in ("1.15", "0.25", "-0.2", "-2.3")
+                 ] + [(13000, "1.15"), (13000, "-2.3")]
+
+
+@pytest.mark.parametrize("t, r", LN_FULL_WIDTH)
+def test_ln_point_honest_on_full_width_arguments(t, r):
+    n, err = oracles.ln_of_floor_exp(Fraction(r), t + 16)
+    got = intervals._ln_point(dyadic(n, -(t + 16)), t).as_fraction()
+    assert abs(got - Fraction(r)) <= Fraction(1, 2 ** t) + err
+
+
 CLEAN = (
     "1 + 2 * 3",
     "exp(1) - exp(0 - 1)",
@@ -209,12 +225,15 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     # caller passes: creal.grid_round, looked up at each call, for the
     # approximation backend, so a fault injected there reaches every
     # step; and round_to for the interval backend, which such a fault
-    # must not reach
+    # must not reach.  ln's reduction rounds nothing to a grid (its
+    # square roots are integer floors), so the fault must not reach the
+    # interval backend's ln either
     from certreal import creal, functions, kernels
 
     honest = creal.grid_round
     exp3 = intervals._exp_point(dyadic(3), 2000)
     sin7 = intervals._sincos_point(dyadic(7), 2000, want_sin=True)
+    ln3 = intervals._ln_point(dyadic(3), 2000)
     # 3 and 7 need 3 halvings and 2 triplings for their range
     cases = ((functions.exp(3), 3 + kernels.extra_halvings(2000)),
              (functions.sin(7), 2 + kernels.extra_triplings(2000)))
@@ -236,6 +255,7 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     monkeypatch.setattr(creal, "grid_round", broken)
     assert intervals._exp_point(dyadic(3), 2000) == exp3
     assert intervals._sincos_point(dyadic(7), 2000, want_sin=True) == sin7
+    assert intervals._ln_point(dyadic(3), 2000) == ln3
 
 
 def test_tan_evaluates_its_argument_once(monkeypatch):
