@@ -474,9 +474,9 @@ def _deepen(enclose, relation: str, backend: str,
     return Exhausted(max_k, tuple(trace), relation)
 
 
-def cmp_semidecide(x: CReal, y: CReal,
-                   start_k: int = 1, max_k: int = 4096) -> ProofOutcome:
-    """Semi-decide the strict inequality x < y.
+def cmp_semidecide(x: CReal, y: CReal, start_k: int = 1,
+                   max_k: int = 4096, relation: str = "<") -> ProofOutcome:
+    """Semi-decide the strict inequality x < y, or x > y.
 
     Probes both numbers along the deepening schedule; at each precision
     the enclosures [approx +- 2**-k] either separate (Proved/Refuted
@@ -486,7 +486,7 @@ def cmp_semidecide(x: CReal, y: CReal,
     """
     return _deepen(lambda k: (_enclosure(x.approx(k), k),
                               _enclosure(y.approx(k), k)),
-                   "<", "approx", start_k, max_k)
+                   relation, "approx", start_k, max_k)
 
 
 def archimedean_bound(x: CReal) -> int:

@@ -56,10 +56,6 @@ class BigDyadic:
             return Fraction(self.mantissa << e, 1)
         return Fraction(self.mantissa, 1 << -e)
 
-    def bit_size(self) -> int:
-        """Bits in the mantissa; a rough cost measure."""
-        return self.mantissa.bit_length()
-
     def ceil_log2(self) -> int:
         """Smallest t with |self| <= 2**t.  Requires self != 0."""
         if self.mantissa == 0:

@@ -4,10 +4,10 @@ Each node derives coarse magnitude bounds from a cheap approximation
 of the argument and hands the rest to the shared kernels layer
 (kernels.py): exp, sin, cos and ln to its reductions, which read the
 argument at the precision their budget needs and return a value within
-2**-(j+1), and the constants and ln of a short literal to its binary
-splitting.  Every rounding here goes through creal.grid_round, looked
-up at each call, and the last one puts the result within 2**-j of the
-true value.
+2**-(j+1), and the constants, atan_rat and ln of a short literal to its
+binary splitting.  Every rounding here goes through creal.grid_round,
+looked up at each call, and the last one puts the result within 2**-j
+of the true value.
 
 Everything is integer arithmetic; there is no float anywhere on these
 paths, so results are deterministic bit for bit.
@@ -149,7 +149,7 @@ class _AtanRat(CReal):
         self.p, self.q = p, q
 
     def _compute(self, j: int) -> BigDyadic:
-        return _cr.grid_round(kernels.atan_within(self.p, self.q, j + 2),
+        return _cr.grid_round(kernels.atan_split(self.p, self.q, j + 2),
                               j + 1)
 
 

@@ -11,13 +11,12 @@ call it; each keeps its own rounding and its own enclosures.
 
 Kernels
 -------
-``exp_series``, ``sin_series``, ``cos_series``, ``atan_series`` and
-``ln1p_series`` are the inner loops.  All arguments and results are
-plain integers denoting values scaled by 2**w ("ulp" below means
-2**-w).  Each kernel runs at most ``cap`` iterations and may stop
-earlier, once the running term has decayed to at most one ulp.  Let m
-be the number of iterations actually executed.  The returned integer S
-satisfies
+``exp_series``, ``sin_series``, ``cos_series`` and ``ln1p_series``
+are the inner loops.  All arguments and results are plain integers
+denoting values scaled by 2**w ("ulp" below means 2**-w).  Each kernel
+runs at most ``cap`` iterations and may stop earlier, once the running
+term has decayed to at most one ulp.  Let m be the number of
+iterations actually executed.  The returned integer S satisfies
 
     |S * 2**-w  -  f(args)|  <=  (8*m + 16) * 2**-w  +  T
 
@@ -26,18 +25,18 @@ the kernel stopped on term decay, in which case the remaining tail is
 already inside the ulp blanket).
 
 Argument ranges are preconditions, not checked here: exp needs
-|r| <= 5/8, sin and cos need |r| <= 9/8, atan needs |p/q| <= 1/2 with
-q > 0, and ln1p needs |t| <= 5/8.  The range bounds make every term
-ratio at most ~2/3, which is what justifies stopping on term decay.
+|r| <= 5/8, sin and cos need |r| <= 9/8, and ln1p needs |t| <= 5/8.
+The range bounds make every term ratio at most ~2/3, which is what
+justifies stopping on term decay.
 
 Wrappers
 --------
-``exp_within``, ``sin_within``, ``cos_within``, ``atan_within`` and
-``ln1p_within`` take a dyadic argument in the kernel's range (atan: the
-exact rational p/q) and a target t, and return a dyadic within 2**-t of
-the function value.  The cap makes the analytic tail at most
-2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
-and the half-ulp rounding of the argument below 2**-(t+1) as well.
+``exp_within``, ``sin_within``, ``cos_within`` and ``ln1p_within``
+take a dyadic argument in the kernel's range and a target t, and
+return a dyadic within 2**-t of the function value.  The cap makes the
+analytic tail at most 2**-(t+1); the width w = t + 2 +
+bitlen(8*cap + 16) puts the blanket and the half-ulp rounding of the
+argument below 2**-(t+1) as well.
 
 Reductions
 ----------
@@ -181,13 +180,10 @@ splitting for all four literals, ``+`` for some:
     100     329-333  20-71      36-109     24-39      11-19      7.5-12
 
 At t = 13000 the rows read 0.03-0.08*, 0.10-0.19*, 0.16-0.42*,
-0.25-1.18*, 0.55-0.72+, 0.79-1.35 and 4.9-6.6.  Binary splitting
-does not pay for ``atan_rat``'s arbitrary p/q either: near 1/2, with
-a 20-bit or 64-bit q, it takes 1.2-1.8 times as long as
-``atan_series`` at t = 1000-13000, so ``atan_rat`` keeps the latter.
-The table predates the square roots of ``ln_reduced``, which made the
-series route faster: against it, splitting takes 1.6-5.9 times as long
-on three 17-digit literals at t = 8000, where the predicate picks it.
+0.25-1.18*, 0.55-0.72+, 0.79-1.35 and 4.9-6.6.  The table predates
+the square roots of ``ln_reduced``, which made the series route
+faster: against it, splitting takes 1.6-5.9 times as long on three
+17-digit literals at t = 8000, where the predicate picks it.
 
 Constant ladder
 ---------------
@@ -290,30 +286,6 @@ def cos_series(r: int, w: int, cap: int) -> int:
     return acc
 
 
-def atan_series(p: int, q: int, w: int, cap: int) -> int:
-    # arctan(p/q) for an exact rational argument: powers are carried as
-    # scaled integers divided by the exact q**2, so no per-term rational
-    # blowup and still one floor per operation.  atan is odd: work on
-    # |p| and put the sign back at the end.
-    neg = p < 0
-    if neg:
-        p = -p
-    num2 = p * p
-    den2 = q * q
-    power = (p << w) // q
-    acc = power
-    i = 0
-    sign = 1
-    while i < cap:
-        power = (power * num2) // den2
-        i += 1
-        sign = -sign
-        if power <= 1:
-            break
-        acc += sign * (power // (2 * i + 1))
-    return -acc if neg else acc
-
-
 def ln1p_series(t: int, w: int, cap: int) -> int:
     # log(1 + t) = sum of (-1)**(i+1) t**i / i.  Worked on |t| with the
     # per-term sign reconstructed from the sign of t.
@@ -342,10 +314,10 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 # the least n at which an exact integer inequality "bound(n) <= 2**-(t+1)"
 # holds.  Every bound shrinks strictly with n, its successive ratio being
 # 5/(8(n+1)) for exp, (9/8)**2/((2n+2)(2n+3)) for sin,
-# (9/8)**2/((2n+1)(2n+2)) for cos, u**2 (2n+1)/(2n+3) with |u| <= 1/2 for
-# atan and (5/8)(n+1)/(n+2) for ln1p.  So each inequality, once true,
-# stays true, and _least finds the first n where it holds by doubling
-# and bisection: O(log n) exact checks of about one big product each.
+# (9/8)**2/((2n+1)(2n+2)) for cos, (5/8)(n+1)/(n+2) for ln1p and
+# u**2 (2n+1)/(2n+3) for binary splitting.  So each inequality, once
+# true, stays true, and _least finds the first n where it holds by
+# doubling and bisection: O(log n) exact checks of one big product each.
 
 def _least(done) -> int:
     """Least n >= 0 with done(n), for done false below some n, true above."""
@@ -379,15 +351,6 @@ def _cap_cos(t: int) -> int:
     # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
     return _least(lambda n: 9 ** (2 * n) << (t + 1)
                   <= factorial(2 * n) << 6 * n)
-
-
-def _cap_atan(t: int, p: int, q: int) -> int:
-    # first omitted term is |u|**(2n+1) / (2n+1), u = p/q
-    pa = abs(p)
-    if pa == 0:
-        return 1
-    return 1 + _least(lambda n: pa ** (2 * n + 1) << (t + 1)
-                      <= q ** (2 * n + 1) * (2 * n + 1))
 
 
 def _cap_ln1p(t: int) -> int:
@@ -430,13 +393,6 @@ def cos_within(r: BigDyadic, t: int) -> BigDyadic:
     cap = _cap_cos(t)
     w = _width(t, cap)
     return dyadic(cos_series(_to_scaled(r, w), w, cap), -w)
-
-
-def atan_within(p: int, q: int, t: int) -> BigDyadic:
-    """arctan(p/q) within 2**-t, for q > 0 and |p/q| <= 1/2."""
-    cap = _cap_atan(t, p, q)
-    w = _width(t, cap)
-    return dyadic(atan_series(p, q, w, cap), -w)
 
 
 def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:

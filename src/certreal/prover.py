@@ -76,24 +76,16 @@ def prove(query, *, start_precision: int = 1,
     rhs_c = lang.elaborate(query.rhs, domain_budget)
 
     if backend == "approx":
-        return _prove_approx(lhs_c, rhs_c, query.relation,
-                             start_precision, max_precision)
+        return cmp_semidecide(lhs_c, rhs_c, start_precision, max_precision,
+                              query.relation)
     if backend == "interval":
         return _prove_interval(query.lhs, query.rhs, query.relation,
                                start_precision, max_precision)
-    oa = _prove_approx(lhs_c, rhs_c, query.relation,
-                       start_precision, max_precision)
+    oa = cmp_semidecide(lhs_c, rhs_c, start_precision, max_precision,
+                        query.relation)
     oi = _prove_interval(query.lhs, query.rhs, query.relation,
                          start_precision, max_precision)
     return _merge_outcomes(oa, oi, query)
-
-
-def _prove_approx(lhs_c: CReal, rhs_c: CReal, relation: str,
-                  start_k: int, max_k: int) -> ProofOutcome:
-    return creal._deepen(
-        lambda k: (creal._enclosure(lhs_c.approx(k), k),
-                   creal._enclosure(rhs_c.approx(k), k)),
-        relation, "approx", start_k, max_k)
 
 
 def _prove_interval(lhs_e, rhs_e, relation: str,

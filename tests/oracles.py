@@ -236,20 +236,6 @@ def _cap_cos(t: int) -> int:
     return n
 
 
-def _cap_atan(t: int, p: int, q: int) -> int:
-    # first omitted term is |u|**(2n+1) / (2n+1), u = p/q
-    pa = abs(p)
-    if pa == 0:
-        return 1
-    n, pn, pd = 0, pa, q
-    bound = 1 << (t + 1)
-    while pn * bound > pd * (2 * n + 1):
-        n += 1
-        pn *= pa * pa
-        pd *= q * q
-    return n + 1
-
-
 def _cap_ln1p(t: int) -> int:
     # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
     n, p5, p8 = 0, 5, 8

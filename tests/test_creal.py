@@ -220,6 +220,20 @@ def test_cmp_semidecide_decides():
     assert out2.rhs_enclosure.hi < out2.lhs_enclosure.lo
 
 
+def test_cmp_semidecide_greater_than():
+    # outcome and enclosures stay in query orientation: lhs is x
+    out = cmp_semidecide(const(2), const(1), relation=">")
+    assert isinstance(out, Proved) and out.relation == ">"
+    assert out.lhs_enclosure.lo > out.rhs_enclosure.hi
+    assert out.lhs_enclosure.contains(dyadic(2))
+    assert out.rhs_enclosure.contains(dyadic(1))
+
+    out2 = cmp_semidecide(const(1), const(2), relation=">")
+    assert isinstance(out2, Refuted) and out2.relation == ">"
+    assert out2.lhs_enclosure.hi < out2.rhs_enclosure.lo
+    assert out2.lhs_enclosure.contains(dyadic(1))
+
+
 def test_cmp_semidecide_exhausts_on_equality():
     out = cmp_semidecide(const(7, 3), const(7, 3), max_k=16)
     assert isinstance(out, Exhausted)

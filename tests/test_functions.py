@@ -64,6 +64,14 @@ def test_atan_rat_honest(q, p2, k):
     _check(atan_rat(p, q), k, lo, hi)
 
 
+@pytest.mark.parametrize("k", [600, 1000])
+@pytest.mark.parametrize("q", [1 << 20, 1 << 64])
+def test_atan_rat_honest_at_high_precision(q, k):
+    for p in (q // 2 - 1, 1 - q // 2):
+        lo, hi = oracles.atan_bounds(p, q, k + 10)
+        _check(atan_rat(p, q), k, lo, hi)
+
+
 def test_atan_rat_rejects_out_of_range():
     with pytest.raises(ValueError):
         atan_rat(2, 3)

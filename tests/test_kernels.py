@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from certreal import kernels
-from certreal.dyadic import dyadic
+from certreal.dyadic import dyadic, round_to
 
 widths = st.integers(20, 400)
 caps = st.integers(1, 80)
@@ -56,18 +56,6 @@ def test_sin_cos_kernels_honest(w, cap, x):
             (kernels.cos_series, oracles.cos_bounds, tail_cos)):
         s = series(r, w, cap)
         lo, hi = bounds(rr, w + 10)
-        err = _blanket(cap, w) + tail + (hi - lo)
-        assert abs(Fraction(s, 1 << w) - (lo + hi) / 2) <= err
-
-
-@settings(max_examples=60)
-@given(widths, caps, st.integers(1, 1 << 16))
-def test_atan_kernel_honest(w, cap, q):
-    for p in (-(q // 2), q // 3, q // 2):
-        s = kernels.atan_series(p, q, w, cap)
-        lo, hi = oracles.atan_bounds(p, q, w + 10)
-        x = Fraction(abs(p), q)
-        tail = x ** (2 * cap + 1) / (2 * cap + 1)
         err = _blanket(cap, w) + tail + (hi - lo)
         assert abs(Fraction(s, 1 << w) - (lo + hi) / 2) <= err
 
@@ -131,20 +119,7 @@ def test_wrapper_within_target(name):
             _assert_within(within(r, t), lo, hi, t)
 
 
-def test_atan_wrapper_within_target():
-    rng = random.Random("atan")
-    for t in _targets(rng):
-        q = 2 * rng.randint(1, 1 << 20)
-        for p in (q // 2, -(q // 2), rng.randint(-(q // 2), q // 2)):
-            lo, hi = oracles.atan_bounds(p, q, t + 20)
-            _assert_within(kernels.atan_within(p, q, t), lo, hi, t)
-
-
 # -- term caps: the same integers as the linear scans ----------------------
-
-# the Machin pair, both ends of the kernel's range, zero, and two others
-_ATAN_ARGS = [(1, 5), (1, 239), (1, 2), (-1, 2), (0, 3), (3, 7), (-2, 5)]
-
 
 def _cap_targets():
     # every small target, plus seeded ones up to where the reference
@@ -162,18 +137,12 @@ def test_cap_equals_linear_scan(name):
         assert cap(t) == reference(t), t
 
 
-@pytest.mark.parametrize("p,q", _ATAN_ARGS)
-def test_atan_cap_equals_linear_scan(p, q):
-    for t in _cap_targets():
-        assert kernels._cap_atan(t, p, q) == oracles._cap_atan(t, p, q), t
-
-
 # -- binary splitting and the constants built on it ------------------------
 
 # the Machin pair, ln 2's 1/3, both ends of the range, zero, the ends of
-# ln_window's range and a literal's window
+# ln_window's range, a literal's window and one other
 _SPLIT_ARGS = [(1, 5), (1, 239), (1, 3), (1, 2), (-1, 2), (0, 3), (-1, 5),
-               (1, 7), (-217, 1383), (3, 7)]
+               (1, 7), (-217, 1383), (3, 7), (-2, 5)]
 
 
 @pytest.mark.parametrize("p,q", _SPLIT_ARGS)
@@ -212,12 +181,16 @@ def test_constant_within_target(name):
         _assert_within(within(t), lo, hi, t)
 
 
-def test_constants_agree_with_fixed_point_series_at_20000_bits():
+def test_constants_against_independent_routes_at_20000_bits():
     t = 20000
+    # pi: p = pi + d with 3 < p < 16/5 leaves |d| < 1/5, where
+    # |sin p| = |sin d| >= |d| (1 - d**2/6) > 0.99 |d|; sin p within
+    # 2**-(t+2) and at most 2**-(t+1) in size then gives |d| < 2**-t
+    p = kernels.pi_within(t)
+    assert 3 < p.as_fraction() < Fraction(16, 5)
+    s = kernels.sincos_reduced(lambda _: p, dyadic(4), t + 2, True, round_to)
+    assert abs(s.as_fraction()) <= Fraction(1, 1 << (t + 1))
     tol = Fraction(2, 1 << t)
-    machin = (kernels.atan_within(1, 5, t + 5).scale2(4)
-              - kernels.atan_within(1, 239, t + 3).scale2(2))
-    assert abs((kernels.pi_within(t) - machin).as_fraction()) <= tol
     ln2 = -kernels.ln1p_within(dyadic(-1, -1), t)
     assert abs((kernels.ln2_within(t) - ln2).as_fraction()) <= tol
 

@@ -62,6 +62,20 @@ def test_prove_creal_backend_alias():
     assert all(s.backend == "approx" for s in out.trace)
 
 
+def test_approx_backend_runs_cmp_semidecide(monkeypatch):
+    # the approximation backend's one comparison loop
+    calls = []
+    real = prover.cmp_semidecide
+
+    def spy(x, y, start_k, max_k, relation):
+        calls.append(relation)
+        return real(x, y, start_k, max_k, relation)
+
+    monkeypatch.setattr(prover, "cmp_semidecide", spy)
+    assert isinstance(prove("exp(1) > 2", backend="approx"), Proved)
+    assert calls == [">"]
+
+
 def test_prove_accepts_parsed_queries_and_rejects_junk():
     from certreal import lang
     q = lang.parse_query("sin(1) < 1")
