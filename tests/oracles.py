@@ -248,6 +248,20 @@ def _cap_ln1p(t: int) -> int:
 
 
 
+def _cap_atan(t: int, p: int, q: int) -> int:
+    # terms of the atan series at u = p/q before the first one of size at
+    # most 2**-(t+1), |u|**(2n+1) / (2n+1); the series alternates with
+    # shrinking terms, so that term bounds the tail
+    pa = abs(p)
+    n, pn, pd = 0, pa, q
+    bound = 1 << (t + 1)
+    while pn * bound > pd * (2 * n + 1):
+        n += 1
+        pn *= pa * pa
+        pd *= q * q
+    return n
+
+
 def _cap_split(t: int, p: int, q: int, hyperbolic: bool) -> int:
     # terms of the atan (atanh) series at u = p/q after which the tail,
     # at most |u|**(2n+1) / (2n+1) (over 1 - u**2 for atanh), is at

@@ -137,6 +137,19 @@ def test_cap_equals_linear_scan(name):
         assert cap(t) == reference(t), t
 
 
+# the Machin pair, both ends of atan_rat's range, zero, and two others
+_ATAN_ARGS = [(1, 5), (1, 239), (1, 2), (-1, 2), (0, 3), (3, 7), (-2, 5)]
+
+
+@pytest.mark.parametrize("p,q", _ATAN_ARGS)
+def test_atan_cap_equals_linear_scan(p, q):
+    # atan_split's term count against the alternating series' own rule:
+    # stop before the first term of size at most 2**-(t+1)
+    for t in _cap_targets():
+        assert (kernels._cap_split(t, p, q, False)
+                == oracles._cap_atan(t, p, q)), t
+
+
 # -- binary splitting and the constants built on it ------------------------
 
 # the Machin pair, ln 2's 1/3, both ends of the range, zero, the ends of
@@ -157,6 +170,16 @@ def _atanh_bounds(p, q, bits):
     # atanh(u) = ln((1 + u) / (1 - u)) / 2
     lo, hi = oracles.ln_bounds(Fraction(q + p, q - p), bits)
     return lo / 2, hi / 2
+
+
+def test_atan_wrapper_within_target():
+    # atan_rat's route: atan_split at an exact p/q, q even, up to |p/q| = 1/2
+    rng = random.Random("atan")
+    for t in _targets(rng):
+        q = 2 * rng.randint(1, 1 << 20)
+        for p in (q // 2, -(q // 2), rng.randint(-(q // 2), q // 2)):
+            lo, hi = oracles.atan_bounds(p, q, t + 20)
+            _assert_within(kernels.atan_split(p, q, t), lo, hi, t)
 
 
 def test_atan_split_within_target():
