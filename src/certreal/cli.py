@@ -95,12 +95,14 @@ def _start_precision(text: str | None, max_prec: int) -> int:
         raise ValueError(f"--start-eps: not a rational: {text!r}")
     if eps <= 0:
         raise ValueError("--start-eps must be positive")
-    # coarsest dyadic grid at least as fine as the requested width
-    k = 1
-    while Fraction(1, 1 << k) > eps:
+    # coarsest dyadic grid at least as fine as the requested width: the
+    # least k >= 1 with q <= p * 2**k is the bit-length gap or one more
+    p, q = eps.numerator, eps.denominator
+    k = max(1, q.bit_length() - p.bit_length())
+    if p << k < q:
         k += 1
-        if k > max_prec:
-            raise ValueError("--start-eps is finer than --max-prec allows")
+    if k > max(max_prec, 1):
+        raise ValueError("--start-eps is finer than --max-prec allows")
     return k
 
 

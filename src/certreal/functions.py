@@ -15,7 +15,6 @@ paths, so results are deterministic bit for bit.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 from . import creal as _cr
@@ -195,20 +194,22 @@ class _PiCosIter(CReal):
     sequence elements.
     """
 
-    __slots__ = ("_seq_nodes", "_seq_lock", "_lim")
+    __slots__ = ("_seq_nodes", "_lim")
 
     def __init__(self):
         super().__init__()
-        self._seq_nodes = [const(0)]
-        self._seq_lock = threading.Lock()
+        self._seq_nodes = {0: const(0)}
         self._lim = lim(self._p, self._modulus)
 
     def _p(self, n: int) -> CReal:
-        with self._seq_lock:
-            while len(self._seq_nodes) <= n:
-                prev = self._seq_nodes[-1]
-                self._seq_nodes.append(prev + _SinCos(prev, want_sin=False))
-            return self._seq_nodes[n]
+        # element i is built from i - 1, so the keys stay 0 .. len - 1;
+        # setdefault is atomic, as in CReal._raw, so a thread that loses
+        # a race drops its duplicate and every caller sees one node
+        seq = self._seq_nodes
+        for i in range(len(seq), n + 1):
+            prev = seq[i - 1]
+            seq.setdefault(i, prev + _SinCos(prev, want_sin=False))
+        return seq[n]
 
     @staticmethod
     def _modulus(k: int) -> int:

@@ -207,13 +207,8 @@ class _Parser:
             self.next()
             rhs = self.parse_expr()
             self._expect_eof()
-            span = (_span_of(lhs)[0], _span_of(rhs)[1])
+            span = (lhs.span[0], rhs.span[1])
             return Query(lhs, t.text, rhs, span)
-        if t.kind == "badrel":
-            raise RelationUnsupported(
-                t.start,
-                f"relation {t.text!r} is not semi-decidable here; "
-                f"only strict < and > are supported")
         self._expect_eof()
         return lhs
 
@@ -236,7 +231,7 @@ class _Parser:
             if t.kind == "op" and t.text in "+-":
                 self.next()
                 rhs = self.parse_term()
-                span = (_span_of(node)[0], _span_of(rhs)[1])
+                span = (node.span[0], rhs.span[1])
                 node = BinOp(t.text, node, rhs, span)
             else:
                 return node
@@ -248,7 +243,7 @@ class _Parser:
             if t.kind == "op" and t.text in "*/":
                 self.next()
                 rhs = self.parse_factor()
-                span = (_span_of(node)[0], _span_of(rhs)[1])
+                span = (node.span[0], rhs.span[1])
                 node = BinOp(t.text, node, rhs, span)
             else:
                 return node
@@ -258,7 +253,7 @@ class _Parser:
         if t.kind == "op" and t.text == "-":
             self.next()
             arg = self.parse_factor()
-            return Neg(arg, (t.start, _span_of(arg)[1]))
+            return Neg(arg, (t.start, arg.span[1]))
         return self.parse_atom()
 
     def parse_atom(self):
@@ -297,10 +292,6 @@ def _num_node(t: _Token):
     return DecLit(num, den, span)
 
 
-def _span_of(node) -> Span:
-    return node.span
-
-
 def parse(src: str):
     """Parse a query or a bare expression."""
     return _Parser(src).parse_query_or_expr()
@@ -309,7 +300,7 @@ def parse(src: str):
 def parse_expression(src: str) -> Expr:
     node = parse(src)
     if isinstance(node, Query):
-        raise ParseError(_span_of(node)[0],
+        raise ParseError(node.span[0],
                          "expected an expression, found a comparison")
     return node
 

@@ -28,6 +28,7 @@ beyond that.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import creal, intervals, lang
@@ -221,11 +222,44 @@ class Pi01Pred:
         return f"Pi01Pred({self.text!r})"
 
 
+# operand kinds of the predicate language
+_NUM, _COND = "number", "condition"
+
+
+def _cmp(o):
+    return 4, _NUM, _COND, lambda a, b: lambda n: o(a(n), b(n))
+
+
 class _PredParser:
+    """Precedence climbing over operands that carry their kind.
+
+    expr(min_prec) reads one prefix operand, then folds in each binary
+    operator of _OPS that binds at least min_prec.  From loosest to
+    tightest: or, and, not (whose operand is read at the comparisons'
+    level), the comparisons and |, + and -, *, then unary - and ^ on an
+    atom, so -n^2 is (-n)^2.  A "(" opens a number or a condition alike;
+    the kind of what it closes decides which, and a kind check rejects
+    chained comparisons, so no token is read twice.
+    """
+
     _KEYWORDS = ("not", "and", "or", "n")
 
+    # token: (precedence, operand kind, result kind, closure builder)
+    _OPS = {
+        "or": (1, _COND, _COND, lambda a, b: lambda n: a(n) or b(n)),
+        "and": (2, _COND, _COND, lambda a, b: lambda n: a(n) and b(n)),
+        "=": _cmp(operator.eq), "!=": _cmp(operator.ne),
+        "<": _cmp(operator.lt), "<=": _cmp(operator.le),
+        ">": _cmp(operator.gt), ">=": _cmp(operator.ge),
+        # d | e: d divides e; 0 divides only 0
+        "|": (4, _NUM, _COND, lambda a, b: lambda n: (
+            b(n) == 0 if a(n) == 0 else b(n) % a(n) == 0)),
+        "+": (5, _NUM, _NUM, lambda a, b: lambda n: a(n) + b(n)),
+        "-": (5, _NUM, _NUM, lambda a, b: lambda n: a(n) - b(n)),
+        "*": (6, _NUM, _NUM, lambda a, b: lambda n: a(n) * b(n)),
+    }
+
     def __init__(self, src: str):
-        self.src = src
         self.toks = self._lex(src)
         self.pos = 0
 
@@ -269,135 +303,79 @@ class _PredParser:
         toks.append(("eof", n))
         return toks
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self, kind):
-        t = self.toks[self.pos]
-        if t[0] != kind:
-            raise ParseError(t[1], f"expected {kind!r} in predicate")
-        self.pos += 1
-        return t
-
     def parse(self):
-        fn = self.parse_or()
-        t = self.peek()
+        fn = self.want(self.expr(0), _COND, None)
+        t = self.toks[self.pos]
         if t[0] != "eof":
             raise ParseError(t[1], "trailing input in predicate")
         return fn
 
-    def parse_or(self):
-        fn = self.parse_and()
-        while self.peek()[0] == "or":
-            self.pos += 1
-            rhs = self.parse_and()
-            lhs = fn
-            fn = lambda n, a=lhs, b=rhs: a(n) or b(n)
-        return fn
-
-    def parse_and(self):
-        fn = self.parse_not()
-        while self.peek()[0] == "and":
-            self.pos += 1
-            rhs = self.parse_not()
-            lhs = fn
-            fn = lambda n, a=lhs, b=rhs: a(n) and b(n)
-        return fn
-
-    def parse_not(self):
-        if self.peek()[0] == "not":
-            self.pos += 1
-            inner = self.parse_not()
-            return lambda n, a=inner: not a(n)
-        return self.parse_atom()
-
-    def parse_atom(self):
-        # a parenthesis may open either a boolean group or an arithmetic
-        # operand; try the comparison reading first and backtrack
-        save = self.pos
-        try:
-            return self.parse_comparison()
-        except ParseError:
-            self.pos = save
-        self.take("(")
-        fn = self.parse_or()
-        self.take(")")
-        return fn
-
-    _CMPS = {
-        "=": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        "<=": lambda a, b: a <= b,
-        ">": lambda a, b: a > b,
-        ">=": lambda a, b: a >= b,
-    }
-
-    def parse_comparison(self):
-        a = self.parse_arith()
-        t = self.peek()
-        if t[0] in self._CMPS:
-            self.pos += 1
-            b = self.parse_arith()
-            op = self._CMPS[t[0]]
-            return lambda n, x=a, y=b, o=op: o(x(n), y(n))
-        if t[0] == "|":
-            self.pos += 1
-            b = self.parse_arith()
-            # d | e: d divides e; 0 divides only 0
-            return lambda n, x=a, y=b: (
-                y(n) == 0 if x(n) == 0 else y(n) % x(n) == 0)
-        raise ParseError(t[1], "expected a comparison operator")
-
-    def parse_arith(self):
-        fn = self.parse_arith_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
-            rhs = self.parse_arith_term()
-            lhs = fn
-            if op == "+":
-                fn = lambda n, a=lhs, b=rhs: a(n) + b(n)
-            else:
-                fn = lambda n, a=lhs, b=rhs: a(n) - b(n)
-        return fn
-
-    def parse_arith_term(self):
-        fn = self.parse_arith_pow()
-        while self.peek()[0] == "*":
-            self.pos += 1
-            rhs = self.parse_arith_pow()
-            lhs = fn
-            fn = lambda n, a=lhs, b=rhs: a(n) * b(n)
-        return fn
-
-    def parse_arith_pow(self):
-        fn = self.parse_arith_atom()
-        if self.peek()[0] == "^":
-            self.pos += 1
-            t = self.take("num")
-            exp = t[2]
-            base = fn
-            fn = lambda n, a=base, e=exp: a(n) ** e
-        return fn
-
-    def parse_arith_atom(self):
-        t = self.peek()
-        if t[0] == "num":
-            self.pos += 1
-            return lambda n, v=t[2]: v
-        if t[0] == "n":
-            self.pos += 1
-            return lambda n: n
-        if t[0] == "-":
-            self.pos += 1
-            inner = self.parse_arith_atom()
-            return lambda n, a=inner: -a(n)
-        if t[0] == "(":
-            self.pos += 1
-            fn = self.parse_arith()
-            self.take(")")
+    def want(self, operand, kind, op):
+        """Unwrap a (closure, kind) operand; op needs it to be of kind."""
+        fn, got = operand
+        if got == kind:
             return fn
-        raise ParseError(t[1], "expected a number, n, or '(' in predicate")
+        if kind == _NUM:
+            raise ParseError(op[1], f"{op[0]!r} needs a number, not a "
+                                    f"condition, in predicate")
+        raise ParseError(self.toks[self.pos][1],
+                         "expected a comparison operator in predicate")
+
+    def expr(self, min_prec):
+        operand = self.prefix()
+        while True:
+            t = self.toks[self.pos]
+            op = self._OPS.get(t[0])
+            if op is None or op[0] < min_prec:
+                return operand
+            prec, kind, result, build = op
+            lhs = self.want(operand, kind, t)
+            self.pos += 1
+            # prec + 1: left associative, and no comparison inside the
+            # right operand of a comparison
+            rhs = self.want(self.expr(prec + 1), kind, t)
+            operand = build(lhs, rhs), result
+
+    def prefix(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t[0] == "not":
+            a = self.want(self.expr(4), _COND, t)
+            return (lambda n: not a(n)), _COND
+        signs = []
+        while t[0] == "-":
+            signs.append(t)
+            t = self.toks[self.pos]
+            self.pos += 1
+        if t[0] == "num":
+            operand = (lambda n, v=t[2]: v), _NUM
+        elif t[0] == "n":
+            operand = (lambda n: n), _NUM
+        elif t[0] == "(":
+            operand = self.expr(0)
+            t = self.toks[self.pos]
+            if t[0] != ")":
+                raise ParseError(t[1], "expected ')' in predicate")
+            self.pos += 1
+        else:
+            raise ParseError(t[1], "expected a number, n, or '(' in predicate")
+        for sign in reversed(signs):
+            a = self.want(operand, _NUM, sign)
+            operand = (lambda n, a=a: -a(n)), _NUM
+        t = self.toks[self.pos]
+        if t[0] == "^":
+            a = self.want(operand, _NUM, t)
+            e = self.toks[self.pos + 1]
+            if e[0] != "num":
+                raise ParseError(e[1], "expected a literal exponent "
+                                       "in predicate")
+            self.pos += 2
+            operand = (lambda n, e=e[2]: a(n) ** e), _NUM
+            t = self.toks[self.pos]
+            if t[0] == "^":
+                raise ParseError(t[1], "'^' does not chain in predicate; "
+                                       "parenthesise its base")
+        return operand
 
 
 def parse_predicate(src: str) -> Pi01Pred:

@@ -3,12 +3,13 @@
 import json
 import shutil
 import subprocess
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from certreal import ConformanceError, prover
+from certreal import ConformanceError, cli, prover
 from certreal.cli import main
 from certreal.dyadic import decimal_to_int
 
@@ -61,6 +62,34 @@ def test_prove_start_eps_sets_first_precision(capsys):
                  "--start-eps", "1/1024"]) == 2
     doc = _json_out(capsys)
     assert doc["result"]["trace"][0]["precision"] == 10
+
+
+def _start_precision_by_scan(text, max_prec):
+    # the reference: try k = 1, 2, ... until 2**-k <= eps
+    eps = Fraction(text)
+    k = 1
+    while Fraction(1, 1 << k) > eps:
+        k += 1
+        if k > max_prec:
+            raise ValueError("--start-eps is finer than --max-prec allows")
+    return k
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("max_prec", [0, 1, 2, 9, 10, 11, 64, 1000])
+def test_start_precision_matches_a_scan(max_prec):
+    texts = ["1", "1/2", "0.3", "1e-300", "3"]
+    for k in (1, 2, 3, 9, 10, 11, 63, 64, 65, 500):
+        texts += [f"1/{(1 << k) - 1}", f"1/{1 << k}", f"1/{(1 << k) + 1}"]
+    for text in texts:
+        assert _outcome(cli._start_precision, text, max_prec) == \
+            _outcome(_start_precision_by_scan, text, max_prec), text
 
 
 def test_prove_interval_backend(capsys):

@@ -250,6 +250,23 @@ def test_cos_iteration_uses_few_sequence_elements():
     assert len(node._seq_nodes) <= 7
 
 
+def test_cos_iteration_identical_under_threads():
+    expected = functions._PiCosIter().approx(100)
+    node = functions._PiCosIter()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch often, so the threads interleave
+    try:
+        results = _in_threads(lambda: node.approx(100))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    # the keys stay 0 .. len - 1, and each stored element is built from
+    # the stored one before it, not from a duplicate that lost a race
+    seq = node._seq_nodes
+    assert sorted(seq) == list(range(len(seq)))
+    assert all(seq[i].x is seq[i - 1] for i in range(1, len(seq)))
+
+
 def test_sin_of_large_argument():
     slo, shi = oracles.sin_bounds(Fraction(50), 90)
     _check(sin(const(50)), 80, slo, shi)

@@ -1,6 +1,7 @@
 """The inequality prover, outcome verification, and the Pi-0-1 pipeline."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -291,10 +292,121 @@ def test_predicate_arithmetic():
     "n ? 2",
     "1 + 2",
     "",
+    "n",                  # a number, not a condition
+    "1 < n < 5",          # comparisons do not chain
+    "(n < 1) + 1 < 2",    # a condition is no arithmetic operand
+    "-(n < 1)",
+    "n < not n < 1",
 ])
 def test_predicate_parse_errors(text):
     with pytest.raises(ParseError):
         parse_predicate(text)
+
+
+@pytest.mark.parametrize("text,holds", [
+    ("-n^2 = n*n", lambda n: True),          # (-n)^2, not -(n^2)
+    ("not (n) < 3", lambda n: n >= 3),        # the group is a number
+    ("((n < 1))", lambda n: n < 1),           # the group is a condition
+    ("(n) < 3", lambda n: n < 3),
+    ("3 | n * n", lambda n: n % 3 == 0),
+])
+def test_predicate_accepted(text, holds):
+    p = parse_predicate(text)
+    assert [p.evaluate(n) for n in range(12)] == \
+        [holds(n) for n in range(12)]
+
+
+@pytest.mark.parametrize("text,position", [
+    ("2 ^ 3 ^ 2 = 64", 6),    # the second '^'
+    ("2 ^ n < 3", 4),         # an exponent that is not a literal
+    ("n", 1),                 # where a comparison operator should be
+    ("1 < n < 5", 6),
+])
+def test_predicate_error_position(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_predicate(text)
+    assert exc.value.position == position
+
+
+def test_predicate_deep_nesting():
+    p = parse_predicate("(" * 300 + "n < 1" + ")" * 300)
+    assert p.evaluate(0) and not p.evaluate(1)
+    q = parse_predicate("-(" * 301 + "n" + ")" * 301 + " = n")
+    assert q.evaluate(0) and not q.evaluate(1)
+
+
+def _gen_number(rng, depth):
+    """Well-typed arithmetic text, its binding level and its reference
+    function.  Levels: 5 for + and -, 6 for *, 7 for ^, 8 for an atom
+    (a literal, n, a negated atom or a parenthesised group)."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.3:
+        if rng.random() < 0.5:
+            return "n", 8, lambda n: n
+        v = rng.randrange(13)
+        return str(v), 8, lambda n: v
+    text, level, f = _gen_number(rng, depth - 1)
+    atom = text if level == 8 else f"({text})"
+    if pick < 0.45:
+        return "-" + atom, 8, lambda n: -f(n)
+    if pick < 0.55:
+        e = rng.randrange(4)
+        return f"{atom}^{e}", 7, lambda n: f(n) ** e
+    op, at = rng.choice([("+", 5), ("-", 5), ("*", 6)])
+    rt, rl, rf = _gen_number(rng, depth - 1)
+    # left associative: a right operand at the same level needs parentheses
+    lt = text if level >= at else f"({text})"
+    rt = rt if rl > at else f"({rt})"
+    fn = {"+": lambda n: f(n) + rf(n), "-": lambda n: f(n) - rf(n),
+          "*": lambda n: f(n) * rf(n)}[op]
+    return f"{lt} {op} {rt}", at, fn
+
+
+def _gen_condition(rng, depth):
+    """Well-typed predicate text, its binding level and its reference
+    function.  Levels: 1 for or, 2 for and, 3 for not, 4 for a
+    comparison; the text uses parentheses only where they are needed,
+    plus a few redundant ones."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.4:
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">=", "|"])
+        lt, _, lf = _gen_number(rng, 2)
+        rt, _, rf = _gen_number(rng, 2)
+        rel = {"=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+               "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+               ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+               "|": lambda a, b: b == 0 if a == 0 else b % a == 0}[op]
+        if rng.random() < 0.2:
+            lt = f"({lt})"
+        text, level = f"{lt} {op} {rt}", 4
+        fn = lambda n: rel(lf(n), rf(n))
+    elif pick < 0.55:
+        inner, level, f = _gen_condition(rng, depth - 1)
+        if level < 3:
+            inner = f"({inner})"
+        text, level, fn = f"not {inner}", 3, lambda n: not f(n)
+    else:
+        op, level = rng.choice([("or", 1), ("and", 2)])
+        lt, ll, lf = _gen_condition(rng, depth - 1)
+        rt, rl, rf = _gen_condition(rng, depth - 1)
+        lt = lt if ll >= level else f"({lt})"
+        rt = rt if rl > level else f"({rt})"
+        text = f"{lt} {op} {rt}"
+        fn = ((lambda n: lf(n) or rf(n)) if op == "or"
+              else (lambda n: lf(n) and rf(n)))
+    if rng.random() < 0.1:
+        text, level = f"({text})", 4
+    return text, level, fn
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predicate_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        text, _, fn = _gen_condition(rng, rng.randrange(4))
+        p = parse_predicate(text)
+        assert [p.evaluate(n) for n in range(31)] == \
+            [bool(fn(n)) for n in range(31)], text
 
 
 def test_predicate_evaluate_validates_argument():
