@@ -15,6 +15,11 @@ for every pair of precisions, with no shared state needed.  Every
 computation is integer arithmetic, so approximations are deterministic
 and bit-identical across runs and platforms.
 
+A series term may also be an exact dyadic, which is added without
+rounding; a series node keeps the exact sum of its leading exact terms
+and extends it as precision deepens, so each such term is computed
+once.
+
 Internally each node computes a slightly better "raw" approximation
 (error at most 2**-j for requested j), kept in one memo keyed by
 precision.  approx(x, k) is derived from raw(k+2) by one grid
@@ -130,7 +135,7 @@ def _coerce(v) -> CReal:
     if isinstance(v, Fraction):
         return const(v)
     if isinstance(v, BigDyadic):
-        return const(Fraction(v.mantissa, 1) * Fraction(2) ** v.exponent)
+        return const(v.as_fraction())
     raise TypeError(f"cannot interpret {v!r} as a real")
 
 
@@ -320,11 +325,15 @@ def lim(seq: Callable[[int], CReal], modulus: Callable[[int], int]) -> CReal:
 
 
 class _Series(CReal):
-    __slots__ = ("terms", "tail_bound")
+    # _prefix = (count, sum): the exact sum of terms 0 .. count-1, all
+    # of them exact dyadics.  Any stored prefix is exact, so one that a
+    # racing thread stores instead changes no result.
+    __slots__ = ("terms", "tail_bound", "_prefix")
 
     def __init__(self, terms, tail_bound):
         super().__init__()
         self.terms, self.tail_bound = terms, tail_bound
+        self._prefix = (0, ZERO)
 
     def _compute(self, j: int) -> BigDyadic:
         n = self.tail_bound(j + 1)
@@ -333,24 +342,41 @@ class _Series(CReal):
         if n == 0:
             return ZERO
         # split the 2**-j budget: 2**-(j+1) tail, 2**-(j+2) across the
-        # partial sum, 2**-(j+2) for the final rounding
+        # CReal terms read at q (exact terms add no error), 2**-(j+2)
+        # for the final rounding
         q = j + 2 + (n - 1).bit_length()
-        acc = ZERO
-        for i in range(n):
+        start, acc = self._prefix
+        if start > n:
+            start, acc = 0, ZERO
+        prefix = None
+        for i in range(start, n):
             t = self.terms(i)
+            if isinstance(t, BigDyadic):
+                acc = acc + t
+                continue
             if not isinstance(t, CReal):
-                raise TypeError("terms must produce CReal values")
+                raise TypeError("terms must produce CReal or BigDyadic "
+                                "values")
+            if prefix is None:
+                prefix = (i, acc)
             acc = acc + t._raw(q)
+        if prefix is None:
+            prefix = (n, acc)
+        if prefix[0] > self._prefix[0]:
+            self._prefix = prefix
         return grid_round(acc, j + 1)
 
 
-def series_sum(terms: Callable[[int], CReal],
+def series_sum(terms: Callable[[int], CReal | BigDyadic],
                tail_bound: Callable[[int], int]) -> CReal:
     """Sum of a series with an explicit tail bound.
 
     Contract: |sum_{n >= tail_bound(k)} terms(n)| <= 2**-k.  The partial
-    sum is evaluated to tail_bound(k+1) terms at matching per-term
-    precision.  Both callables must be pure.
+    sum is evaluated to tail_bound(k+1) terms.  A term is a CReal, read
+    at a per-term precision that covers the term count, or an exact
+    BigDyadic, added without rounding; the node keeps the exact sum of
+    its leading exact terms and extends it, so each of those is
+    computed once.  Both callables must be pure.
     """
     return _Series(terms, tail_bound)
 

@@ -9,6 +9,10 @@ representations and can be compared, hashed and serialized bit-exactly.
 Exponents are bounded; exceeding the bound raises ExponentOverflow
 rather than silently producing a number the rest of the engine cannot
 budget for.
+
+BigDyadic keeps the frozen dataclass's equality, hashing, pickling and
+read-only fields, but the hot paths build it through the slot
+descriptors (_make), and compare takes one aligned integer difference.
 """
 
 from __future__ import annotations
@@ -26,12 +30,6 @@ EXPONENT_LIMIT = 1 << 40
 # Cap on the bit distance spanned when aligning two operands.  Protects
 # against memory blowups from adding numbers of wildly different scale.
 _ALIGN_LIMIT = 1 << 26
-
-
-def _check_exponent(e: int) -> int:
-    if -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
-        return e
-    raise ExponentOverflow(f"dyadic exponent {e} out of range")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,10 +69,10 @@ class BigDyadic:
     # -- arithmetic (exact) -----------------------------------------------
 
     def __neg__(self) -> "BigDyadic":
-        return BigDyadic(-self.mantissa, self.exponent)
+        return _make(-self.mantissa, self.exponent)
 
     def __abs__(self) -> "BigDyadic":
-        return BigDyadic(abs(self.mantissa), self.exponent)
+        return _make(abs(self.mantissa), self.exponent)
 
     def __add__(self, other: "BigDyadic") -> "BigDyadic":
         if not isinstance(other, BigDyadic):
@@ -121,8 +119,21 @@ class BigDyadic:
     # -- comparisons (exact, total order) ---------------------------------
 
     def compare(self, other: "BigDyadic") -> int:
-        d = self - other
-        return d.sign()
+        """-1, 0 or 1 as self <, = or > other."""
+        ma, ea = self.mantissa, self.exponent
+        mb, eb = other.mantissa, other.exponent
+        # a zero side needs no alignment (and raises no span error)
+        if ea != eb and ma and mb:
+            shift = ea - eb
+            if abs(shift) > _ALIGN_LIMIT:
+                raise ExponentOverflow(f"alignment span {abs(shift)} "
+                                       f"too large")
+            if shift > 0:
+                ma <<= shift
+            else:
+                mb <<= -shift
+        d = ma - mb
+        return (d > 0) - (d < 0)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -156,6 +167,23 @@ class BigDyadic:
         return f"BigDyadic({int_to_decimal(self.mantissa)}, {self.exponent})"
 
 
+_new = object.__new__
+_set_mantissa = BigDyadic.mantissa.__set__
+_set_exponent = BigDyadic.exponent.__set__
+
+
+def _make(mantissa: int, exponent: int) -> BigDyadic:
+    """A BigDyadic from fields already in canonical form and range.
+
+    The slots are filled through their descriptors, which skips the
+    frozen dataclass's __init__ and its object.__setattr__ per field.
+    """
+    d = _new(BigDyadic)
+    _set_mantissa(d, mantissa)
+    _set_exponent(d, exponent)
+    return d
+
+
 def dyadic(mantissa: int, exponent: int = 0) -> BigDyadic:
     """Canonicalizing constructor: strips factors of 2 into the exponent."""
     if mantissa == 0:
@@ -164,7 +192,9 @@ def dyadic(mantissa: int, exponent: int = 0) -> BigDyadic:
         shift = (mantissa & -mantissa).bit_length() - 1
         mantissa >>= shift
         exponent += shift
-    return BigDyadic(mantissa, _check_exponent(exponent))
+    if -EXPONENT_LIMIT <= exponent <= EXPONENT_LIMIT:
+        return _make(mantissa, exponent)
+    raise ExponentOverflow(f"dyadic exponent {exponent} out of range")
 
 
 _ZERO = BigDyadic(0, 0)

@@ -210,6 +210,7 @@ every other precision up to that rung is a grid rounding of it.
   the precision it asked for.
 """
 
+from functools import lru_cache
 from math import factorial, gcd, isqrt
 
 from .dyadic import (BigDyadic, ZERO, clamp_unit, div_nearest, dyadic,
@@ -319,6 +320,12 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 # true, stays true, and _least finds the first n where it holds by
 # doubling and bisection: O(log n) exact checks of one big product each.
 
+# Each cap is a pure function of t, and the deepening loops ask for the
+# same few hundred widths over and over; the memo is bounded, so a
+# sweep over many widths only recomputes.
+_CAP_MEMO = 1024
+
+
 def _least(done) -> int:
     """Least n >= 0 with done(n), for done false below some n, true above."""
     if done(0):
@@ -336,23 +343,27 @@ def _least(done) -> int:
     return hi
 
 
+@lru_cache(maxsize=_CAP_MEMO)
 def _cap_exp(t: int) -> int:
     # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
     return _least(lambda n: 5 ** n << (t + 2) <= factorial(n) << 3 * n)
 
 
+@lru_cache(maxsize=_CAP_MEMO)
 def _cap_sin(t: int) -> int:
     # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
     return _least(lambda n: 9 ** (2 * n + 1) << (t + 1)
                   <= factorial(2 * n + 1) << 3 * (2 * n + 1))
 
 
+@lru_cache(maxsize=_CAP_MEMO)
 def _cap_cos(t: int) -> int:
     # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
     return _least(lambda n: 9 ** (2 * n) << (t + 1)
                   <= factorial(2 * n) << 6 * n)
 
 
+@lru_cache(maxsize=_CAP_MEMO)
 def _cap_ln1p(t: int) -> int:
     # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
     return 1 + _least(lambda n: 5 ** (n + 1) << (t + 4)

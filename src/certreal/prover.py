@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import creal, intervals, lang
 from .creal import (CReal, Exhausted, ProofOutcome, Proved, Refuted,
                     TraceStep, cmp_semidecide, const, series_sum)
-from .dyadic import BigDyadic, int_to_decimal
+from .dyadic import BigDyadic, ZERO, int_to_decimal, power_of_two
 from .errors import (ConformanceError, DomainUndetermined, ParseError,
                      ResourceExhausted)
 
@@ -225,9 +225,30 @@ class Pi01Pred:
 # operand kinds of the predicate language
 _NUM, _COND = "number", "condition"
 
+# Bounds that turn hostile predicates into typed errors (documented in
+# docs/grammar.ebnf).  A power whose base has b bits and whose exponent
+# is e raises ResourceExhausted when evaluated if b * e, a bound on the
+# result's size, is over POW_BIT_LIMIT.  A predicate nesting deeper
+# than DEPTH_LIMIT fails to parse: the parser spends at most two stack
+# frames per level, evaluation one, and both stay far from Python's
+# recursion limit.
+POW_BIT_LIMIT = 1 << 20
+DEPTH_LIMIT = 400
+
 
 def _cmp(o):
     return 4, _NUM, _COND, lambda a, b: lambda n: o(a(n), b(n))
+
+
+def _power(a, e):
+    def power(n):
+        b = a(n)
+        if b.bit_length() * e > POW_BIT_LIMIT:
+            raise ResourceExhausted(
+                f"predicate power of a {b.bit_length()}-bit base to the "
+                f"{e} is over the {POW_BIT_LIMIT}-bit limit at n = {n}")
+        return b ** e
+    return power
 
 
 class _PredParser:
@@ -240,6 +261,10 @@ class _PredParser:
     atom, so -n^2 is (-n)^2.  A "(" opens a number or a condition alike;
     the kind of what it closes decides which, and a kind check rejects
     chained comparisons, so no token is read twice.
+
+    An operand is (closure, kind, depth), depth being how deeply its
+    closures nest; self.depth counts the expr calls open, one per
+    group, not and right operand.  Each is held to DEPTH_LIMIT.
     """
 
     _KEYWORDS = ("not", "and", "or", "n")
@@ -262,6 +287,7 @@ class _PredParser:
     def __init__(self, src: str):
         self.toks = self._lex(src)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _lex(src):
@@ -304,15 +330,15 @@ class _PredParser:
         return toks
 
     def parse(self):
-        fn = self.want(self.expr(0), _COND, None)
+        fn = self.want(self.expr(0, self.toks[0]), _COND, None)
         t = self.toks[self.pos]
         if t[0] != "eof":
             raise ParseError(t[1], "trailing input in predicate")
         return fn
 
     def want(self, operand, kind, op):
-        """Unwrap a (closure, kind) operand; op needs it to be of kind."""
-        fn, got = operand
+        """Unwrap an operand's closure; op needs it to be of kind."""
+        fn, got, _ = operand
         if got == kind:
             return fn
         if kind == _NUM:
@@ -321,38 +347,56 @@ class _PredParser:
         raise ParseError(self.toks[self.pos][1],
                          "expected a comparison operator in predicate")
 
-    def expr(self, min_prec):
+    @staticmethod
+    def node(fn, kind, depth, t):
+        """An operand one closure above its deepest operand, for the
+        operator token t."""
+        if depth >= DEPTH_LIMIT:
+            raise ParseError(t[1], f"predicate nests deeper than "
+                                   f"{DEPTH_LIMIT} levels")
+        return fn, kind, depth + 1
+
+    def expr(self, min_prec, opener):
+        """One operand, nested one level inside the token opener."""
+        self.depth += 1
+        if self.depth > DEPTH_LIMIT:
+            raise ParseError(opener[1], f"predicate nests deeper than "
+                                        f"{DEPTH_LIMIT} levels")
         operand = self.prefix()
         while True:
             t = self.toks[self.pos]
             op = self._OPS.get(t[0])
             if op is None or op[0] < min_prec:
+                self.depth -= 1
                 return operand
             prec, kind, result, build = op
             lhs = self.want(operand, kind, t)
             self.pos += 1
             # prec + 1: left associative, and no comparison inside the
             # right operand of a comparison
-            rhs = self.want(self.expr(prec + 1), kind, t)
-            operand = build(lhs, rhs), result
+            right = self.expr(prec + 1, t)
+            rhs = self.want(right, kind, t)
+            operand = self.node(build(lhs, rhs), result,
+                                max(operand[2], right[2]), t)
 
     def prefix(self):
         t = self.toks[self.pos]
         self.pos += 1
         if t[0] == "not":
-            a = self.want(self.expr(4), _COND, t)
-            return (lambda n: not a(n)), _COND
+            operand = self.expr(4, t)
+            a = self.want(operand, _COND, t)
+            return self.node(lambda n: not a(n), _COND, operand[2], t)
         signs = []
         while t[0] == "-":
             signs.append(t)
             t = self.toks[self.pos]
             self.pos += 1
         if t[0] == "num":
-            operand = (lambda n, v=t[2]: v), _NUM
+            operand = (lambda n, v=t[2]: v), _NUM, 1
         elif t[0] == "n":
-            operand = (lambda n: n), _NUM
+            operand = (lambda n: n), _NUM, 1
         elif t[0] == "(":
-            operand = self.expr(0)
+            operand = self.expr(0, t)
             t = self.toks[self.pos]
             if t[0] != ")":
                 raise ParseError(t[1], "expected ')' in predicate")
@@ -361,7 +405,8 @@ class _PredParser:
             raise ParseError(t[1], "expected a number, n, or '(' in predicate")
         for sign in reversed(signs):
             a = self.want(operand, _NUM, sign)
-            operand = (lambda n, a=a: -a(n)), _NUM
+            operand = self.node(lambda n, a=a: -a(n), _NUM, operand[2],
+                                sign)
         t = self.toks[self.pos]
         if t[0] == "^":
             a = self.want(operand, _NUM, t)
@@ -370,7 +415,7 @@ class _PredParser:
                 raise ParseError(e[1], "expected a literal exponent "
                                        "in predicate")
             self.pos += 2
-            operand = (lambda n, e=e[2]: a(n) ** e), _NUM
+            operand = self.node(_power(a, e[2]), _NUM, operand[2], t)
             t = self.toks[self.pos]
             if t[0] == "^":
                 raise ParseError(t[1], "'^' does not chain in predicate; "
@@ -391,11 +436,13 @@ def pi01_sum(pred: Pi01Pred) -> CReal:
     S = 2 exactly when P holds for every n; a first failure at n*
     leaves S <= 2 - 2**-n*.  The geometric tail gives the explicit
     bound: everything from index k+2 on contributes at most 2**-k.
+    Every term is an exact dyadic, so P is evaluated once per n however
+    far the comparison deepens.
     """
     if not isinstance(pred, Pi01Pred):
         raise TypeError("pi01_sum expects a parsed predicate")
     return series_sum(
-        lambda n: const(1, 1 << n) if pred.evaluate(n) else const(0),
+        lambda n: power_of_two(-n) if pred.evaluate(n) else ZERO,
         lambda k: k + 2,
     )
 

@@ -1,0 +1,39 @@
+"""The benchmark's first-round digests at seed 1, pinned.
+
+Each digest is a sha256 over the fingerprints of every answer in the
+first round of one perfbench workload, so a change that moves a single
+bit of any approximation, verdict or enclosure shows here.  A change
+that moves bits on purpose updates the pin and says why.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+
+DIGESTS = {
+    "eval-hiprec":
+        "f81880ea395f433d7c215de8945b8f1a53e92bddaf4e0e5d17beeb11b185564b",
+    "prove-approx":
+        "421a04ebca2b48c6b8d7a10ea6ef47c769e043947e462fcd9337c3b86ac8487a",
+    "prove-both":
+        "158a0c3942d59f2069e2ac0084fe4c516a816045610e12872bf4ad70b2c237ce",
+    "pi01-sweep":
+        "283f8ad8c0bfa0005db0bdbcdc1229321293a93b662f0b75f453dea4250eb408",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_first_round_digest(workload):
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
+         "--rounds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    assert result["digest"] == DIGESTS[workload]

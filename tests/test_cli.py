@@ -242,6 +242,17 @@ def test_pi01_bad_predicate_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("predicate,code", [
+    ("n ^ 100000000 > 0", 2),                     # a power over the limit
+    ("n" + " + 1" * 1200 + " > 0", 3),            # a chain too deep
+    ("(" * 500 + "n < 1" + ")" * 500, 3),         # groups too deep
+])
+def test_pi01_hostile_predicates_exit_typed(capsys, predicate, code):
+    assert main(["pi01", predicate]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # -- selftest --------------------------------------------------------------
 
 def test_selftest_quick(capsys):

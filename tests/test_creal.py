@@ -1,6 +1,8 @@
 """Approximation contract, regularity, certificates, comparison."""
 
 import itertools
+import random
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -13,8 +15,9 @@ from certreal.creal import (ApartnessCertificate, Exhausted, Proved, Refuted,
                             archimedean_bound, cmp_semidecide, const,
                             deepening_schedule, div, find_apart, lim, recip,
                             scale2, series_sum)
-from certreal.dyadic import dyadic, power_of_two
+from certreal.dyadic import ZERO, dyadic, power_of_two
 from certreal.errors import InvalidCertificate, ResourceExhausted
+from certreal.prover import parse_predicate, pi01_sum
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
                          max_denominator=10 ** 9)
@@ -206,6 +209,91 @@ def test_series_sum_empty_and_bad():
     bad2 = series_sum(lambda n: 2.0, lambda k: k + 1)
     with pytest.raises(TypeError):
         bad2.approx(3)
+    # also after a prefix of exact terms
+    bad3 = series_sum(lambda n: power_of_two(-n) if n < 3 else 2.0,
+                      lambda k: k + 1)
+    with pytest.raises(TypeError):
+        bad3.approx(3)
+
+
+# -- series with exact terms ------------------------------------------------
+
+def _exact_series():
+    return series_sum(lambda n: power_of_two(-n) if n % 3 else ZERO,
+                      lambda k: k + 2)
+
+
+def _mixed_series():
+    # exact terms 2**-n, except a CReal 3**-n at every n = 4 mod 5
+    return series_sum(lambda n: const(1, 3 ** n) if n % 5 == 4
+                      else power_of_two(-n), lambda k: k + 2)
+
+
+# 2 - sum over n = 4 mod 5 of 2**-n, plus the same sum of 3**-n
+_MIXED_VALUE = (2 - Fraction(1, 16) / (1 - Fraction(1, 32))
+                + Fraction(1, 81) / (1 - Fraction(1, 243)))
+
+_SERIES_PRECISIONS = list(range(0, 160, 7))
+
+
+@pytest.mark.parametrize("make", [_exact_series, _mixed_series])
+def test_series_approx_is_history_free(make):
+    # the exact prefix a node keeps must not leak into any answer: each
+    # precision gets the bits a fresh node gives, in any order of asking
+    # (raw values too: approx rounds them once more, hiding a tie)
+    fresh = {k: (make().approx(k), make()._raw(k)) for k in _SERIES_PRECISIONS}
+    rng = random.Random(20261018)
+    for order in (sorted(_SERIES_PRECISIONS),
+                  sorted(_SERIES_PRECISIONS, reverse=True),
+                  rng.sample(_SERIES_PRECISIONS, len(_SERIES_PRECISIONS))):
+        node = make()
+        for k in order:
+            assert (node.approx(k), node._raw(k)) == fresh[k], (order, k)
+
+
+def test_series_exact_terms_match_const_terms():
+    # 2**-n on the per-term grid is exact as a const too, so the exact
+    # route must give the same bits as the const route
+    as_const = series_sum(lambda n: const(1, 1 << n) if n % 3 else const(0),
+                          lambda k: k + 2)
+    exact = _exact_series()
+    for k in _SERIES_PRECISIONS:
+        assert exact.approx(k) == as_const.approx(k), k
+
+
+def test_series_mixed_terms_honest():
+    s = _mixed_series()
+    for k in _SERIES_PRECISIONS + [300]:
+        assert abs(s.approx(k).as_fraction() - _MIXED_VALUE) <= _tol(k), k
+
+
+def test_series_threads_identical():
+    pred = parse_predicate("not 7 | n + 3")
+    precisions = (5, 200, 60, 257, 30, 120)
+    want = {k: pi01_sum(pred).approx(k) for k in precisions}
+    node = pi01_sum(pred)
+    results = []
+    start = threading.Barrier(8)
+
+    def worker(seed):
+        start.wait()
+        order = random.Random(seed).sample(precisions, len(precisions))
+        results.extend((k, node.approx(k)) for k in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * len(precisions)
+    assert all(v == want[k] for k, v in results)
 
 
 def test_cmp_semidecide_decides():
@@ -341,6 +429,18 @@ def test_ring_op_budgets_under_worst_leaves():
         for s in (-3, 1, 4):
             _assert_raw_honest(scale2(x, s), va * Fraction(2) ** s,
                                range(48))
+
+
+def test_series_budget_under_worst_terms():
+    # a tight tail bound (the tail from k + 1 on is exactly 2**-k), and
+    # CReal terms at every index, every other one or every fifth, each
+    # off by its whole error at the per-term precision
+    for every in (1, 2, 5):
+        for sign in (1, -1):
+            s = series_sum(lambda n: _Worst(power_of_two(-n), sign)
+                           if n % every == 0 else power_of_two(-n),
+                           lambda k: k + 1)
+            _assert_raw_honest(s, Fraction(2), range(60))
 
 
 def test_ladder_error_total_under_a_worst_source():

@@ -1,11 +1,15 @@
 """Dyadic carrier type: exactness, canonical form, rounding contracts."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from certreal.dyadic import (BigDyadic, EXPONENT_LIMIT, ONE, TWO, ZERO,
+from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
+                             TWO, ZERO,
                              decimal_to_int, div_nearest, dyadic,
                              from_fraction_nearest, from_int, int_to_decimal,
                              power_of_two, round_ceil, round_floor, round_to,
@@ -15,6 +19,8 @@ from certreal.errors import ExponentOverflow
 mantissas = st.integers(-(1 << 200), 1 << 200)
 exponents = st.integers(-400, 400)
 values = st.builds(dyadic, mantissas, exponents)
+wide_values = st.builds(dyadic, st.integers(-(1 << 20000), 1 << 20000),
+                        st.integers(-30000, 30000))
 grids = st.integers(0, 300)
 
 
@@ -40,13 +46,16 @@ def test_scale2_mul_int(a, s):
     assert a.mul_int(s).as_fraction() == a.as_fraction() * s
 
 
-@given(values, values)
-def test_total_order_matches_fractions(a, b):
-    af, bf = a.as_fraction(), b.as_fraction()
-    assert (a < b) == (af < bf)
-    assert (a <= b) == (af <= bf)
-    assert (a > b) == (af > bf)
-    assert a.compare(b) == (af > bf) - (af < bf)
+@given(values | wide_values, values | wide_values, st.integers(-30000, 300))
+def test_total_order_matches_fractions(a, b, s):
+    # b, a itself, and a nudged by 2**s: near ties at every width
+    for c in (b, a, a + power_of_two(s), a - power_of_two(s)):
+        af, cf = a.as_fraction(), c.as_fraction()
+        assert (a < c) == (af < cf)
+        assert (a <= c) == (af <= cf)
+        assert (a > c) == (af > cf)
+        assert (a >= c) == (af >= cf)
+        assert a.compare(c) == (af > cf) - (af < cf)
 
 
 @given(values)
@@ -205,6 +214,35 @@ def test_exponent_limits():
         dyadic(1, 0) + dyadic(1, -(1 << 27))
     with pytest.raises(ExponentOverflow):
         round_to(dyadic(1, -(1 << 27)), 0)
+
+
+def test_compare_alignment_guard():
+    # the span guard of + holds for compare too, in either order, and a
+    # zero side needs no alignment
+    near, far = dyadic(3, 5), dyadic(-1, 5 - _ALIGN_LIMIT - 1)
+    for a, b in ((near, far), (far, near)):
+        with pytest.raises(ExponentOverflow):
+            a.compare(b)
+        with pytest.raises(ExponentOverflow):
+            a < b
+    assert dyadic(3, 5 - _ALIGN_LIMIT).compare(near) == -1
+    for v in (near, far):
+        assert v.compare(ZERO) == ZERO.compare(-v) == v.sign()
+        assert (ZERO < v) == (v.sign() > 0)
+
+
+@given(values | wide_values)
+def test_carrier_is_a_frozen_value(a):
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a),
+              -(-a), dyadic(a.mantissa, a.exponent)):
+        assert type(b) is BigDyadic
+        assert b == a and hash(b) == hash(a)
+        assert (b.mantissa, b.exponent) == (a.mantissa, a.exponent)
+    assert abs(a) == abs(-a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.mantissa = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.exponent = 1
 
 
 def test_div_nearest_rejects_bad_divisor():

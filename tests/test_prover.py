@@ -335,6 +335,63 @@ def test_predicate_deep_nesting():
     assert q.evaluate(0) and not q.evaluate(1)
 
 
+# -- hostile predicates: typed errors, not hangs or stack overflows --------
+
+def test_predicate_power_over_the_bit_limit():
+    p = parse_predicate("n ^ 100000000 > 0")
+    assert not p.evaluate(0)
+    with pytest.raises(ResourceExhausted):
+        p.evaluate(1)
+    # a 2-bit base to half the limit is at the limit, a 3-bit one over it
+    q = parse_predicate(f"n ^ {prover.POW_BIT_LIMIT // 2} > 0")
+    assert q.evaluate(3)
+    with pytest.raises(ResourceExhausted):
+        q.evaluate(4)
+    # the bound is on the base's value at n, wherever it came from
+    r = parse_predicate("(n ^ 1000) ^ 1000 > 0")
+    assert r.evaluate(2)
+    with pytest.raises(ResourceExhausted):
+        r.evaluate(3)
+    with pytest.raises(ResourceExhausted):
+        pi01_decide("n ^ 100000000 > 0")
+
+
+_LIMIT = prover.DEPTH_LIMIT
+
+
+@pytest.mark.parametrize("text,position", [
+    # the predicate is level 1, each group one more: the group opened
+    # at byte _LIMIT - 1 is one too many
+    ("(" * 500 + "n < 1" + ")" * 500, _LIMIT - 1),
+    ("(" * _LIMIT + "n < 1" + ")" * _LIMIT, _LIMIT - 1),
+    # a flat chain nests its closures: the '+' that makes _LIMIT + 1
+    ("n" + " + 1" * 1200 + " > 0", 2 + 4 * (_LIMIT - 1)),
+    ("not " * 1000 + "n < 1", 4 * (_LIMIT - 1)),
+    ("-" * 1000 + "n < 1", 1000 - _LIMIT),
+    # a right operand and its group are two levels
+    ("1 + (" * 300 + "n" + ")" * 300 + " > 0", 5 * (_LIMIT // 2 - 1) + 4),
+], ids=["groups", "groups-at-limit+1", "chain", "not", "minus",
+        "right-operands"])
+def test_predicate_depth_limit(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_predicate(text)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("text", [
+    # a comparison's right operand is a level of its own
+    "(" * (_LIMIT - 2) + "n < 1" + ")" * (_LIMIT - 2),
+    "n" + " + 1" * (_LIMIT - 2) + " > 0",
+    "not " * (_LIMIT - 2) + "n < 1",
+    "-" * (_LIMIT - 2) + "n < 1",
+], ids=["groups", "chain", "not", "minus"])
+def test_predicate_at_the_depth_limit_evaluates(text):
+    # the deepest accepted predicates parse, and evaluate inside a sweep
+    p = parse_predicate(text)
+    assert p.evaluate(0) in (True, False)
+    assert pi01_decide(p, max_precision=16) is not None
+
+
 def _gen_number(rng, depth):
     """Well-typed arithmetic text, its binding level and its reference
     function.  Levels: 5 for + and -, 6 for *, 7 for ^, 8 for an atom
