@@ -227,6 +227,37 @@ def div_nearest(a: int, b: int) -> int:
     return q
 
 
+def div_nearest_lead(a: int, b: int) -> int:
+    """div_nearest(a, b), faster when b is much longer than the quotient.
+
+    The quotient is taken from a and b cut to the quotient's length
+    plus 64 bits, which puts it within one of the floor of a/b; one
+    exact remainder then fixes the floor, and the rounding is
+    div_nearest's, so the result is the same integer.
+    """
+    if b <= 0:
+        raise ValueError("div_nearest needs a positive divisor")
+    nb = b.bit_length()
+    s = nb - max(0, abs(a).bit_length() - nb) - 66
+    if s <= 0:
+        return div_nearest(a, b)
+    # a >> s and b >> s are each less than one below a / 2**s and
+    # b / 2**s, and b >> s has at least 64 bits more than the quotient,
+    # so their quotient is within 2**-62 of a / b
+    q = (a >> s) // (b >> s)
+    r = a - q * b
+    while r < 0:
+        q -= 1
+        r += b
+    while r >= b:
+        q += 1
+        r -= b
+    r2 = r << 1
+    if r2 > b or (r2 == b and q & 1):
+        q += 1
+    return q
+
+
 def shift_nearest(a: int, s: int) -> int:
     """Round a / 2**s to the nearest integer, ties to the even integer.
 

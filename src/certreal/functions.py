@@ -4,8 +4,9 @@ Each node derives coarse magnitude bounds from a cheap approximation
 of the argument and hands the rest to the shared kernels layer
 (kernels.py): exp, sin, cos and ln to its reductions, which read the
 argument at the precision their budget needs and return a value within
-2**-(j+1), and the constants, atan_rat and ln of a short literal to its
-binary splitting.  Every rounding here goes through creal.grid_round,
+2**-(j+1), and the constants, atan_rat, and exp, sin, cos and ln of a
+literal (where the kernels' predicates say it pays) to its binary
+splitting.  Every rounding here goes through creal.grid_round,
 looked up at each call, and the last one puts the result within 2**-j
 of the true value.
 
@@ -25,6 +26,18 @@ from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
 
+def _literal(x: CReal):
+    """The exact rational value of a literal (a _Const, or the negation
+    of one), else None."""
+    if isinstance(x, _cr._Neg):
+        x = x.x
+        if isinstance(x, _cr._Const):
+            return -x.value
+    if isinstance(x, _cr._Const):
+        return x.value
+    return None
+
+
 class _Exp(CReal):
     __slots__ = ("x",)
 
@@ -33,6 +46,11 @@ class _Exp(CReal):
         self.x = x
 
     def _compute(self, j: int) -> BigDyadic:
+        lit = _literal(self.x)
+        if lit is not None and kernels.literal_split_pays(lit, j):
+            # binary splitting within 2**-(j+2), the rounding 2**-(j+2)
+            v = kernels.exp_split(lit.numerator, lit.denominator, j + 2)
+            return _cr.grid_round(v, j + 1)
         q0 = self.x.approx(0)
         # |x| <= |q0| + 1 and x <= ceil(q0) + 1
         a = (abs(q0) + ONE).ceil_log2()
@@ -50,6 +68,12 @@ class _SinCos(CReal):
         self.want_sin = want_sin
 
     def _compute(self, j: int) -> BigDyadic:
+        lit = _literal(self.x)
+        if lit is not None and kernels.literal_split_pays(lit, j):
+            # as for exp
+            v = kernels.sincos_split(lit.numerator, lit.denominator, j + 2,
+                                     self.want_sin)
+            return _cr.grid_round(v, j + 1)
         bound = abs(self.x.approx(0)) + ONE
         v = kernels.sincos_reduced(self.x._raw, bound, j + 1, self.want_sin,
                                    _cr.grid_round)
@@ -72,12 +96,12 @@ class _Ln(CReal):
         self.x, self.cert = x, cert
 
     def _compute(self, j: int) -> BigDyadic:
-        if isinstance(self.x, _cr._Const):
+        a = _literal(self.x)
+        if a is not None:
             # an exact rational whose window leaves a short atanh
             # argument: binary splitting (kernels.ln_window, split_pays).
             # e ln 2 within 2**-(j+2), 2 atanh within 2**-(j+2), the
             # rounding 2**-(j+2)
-            a = self.x.value
             e, p, q = kernels.ln_window(a.numerator, a.denominator)
             if kernels.split_pays(q, j):
                 v = kernels.atan_split(p, q, j + 3, hyperbolic=True)
@@ -89,6 +113,10 @@ class _Ln(CReal):
         v = kernels.ln_reduced(self.x._raw, self.cert.witness_precision,
                                j + 1, _ln2()._raw)
         return _cr.grid_round(v, j + 1)
+
+
+# Raw values a ladder node keeps before it starts its memo over.
+_LADDER_MEMO = 256
 
 
 class _Ladder(CReal):
@@ -105,6 +133,15 @@ class _Ladder(CReal):
         super().__init__()
         self.within = within
         self._rungs: dict = {}
+
+    def _raw(self, j: int) -> BigDyadic:
+        # a stream of fresh precisions would grow the shared node's memo
+        # by a value each; past _LADDER_MEMO values it starts over, and
+        # a value it dropped costs one grid rounding of a kept rung
+        memo = self._raw_memo
+        if len(memo) >= _LADDER_MEMO and j not in memo:
+            memo.clear()
+        return super()._raw(j)
 
     def _compute(self, j: int) -> BigDyadic:
         rung = kernels.ladder_rung(j)

@@ -124,31 +124,55 @@ ln(pi) at 33000 bits takes 0.6 s with it and 6.7 s without.
 
 Binary splitting
 ----------------
-``atan_split(p, q, t, hyperbolic)`` returns arctan(u), or artanh(u),
-within 2**-t for an exact rational u = p/q with q > 0 and |u| <= 1/2,
-from
+For an exact rational argument the series is summed exactly and
+rounded once (Haible & Papanikolaou, "Fast multiprecision evaluation
+of series of rational numbers", 1998; Brent & Zimmermann, *Modern
+Computer Arithmetic* §4.9).  Each instance is a ``_Series``,
 
-    u * sum over n >= 0 of (-+ u**2)**n / (2n + 1)
+    (u/v) * sum over n >= 0 of y**n / (qn(1) ... qn(n) b(n)),
 
-(Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-rational numbers", 1998; Brent & Zimmermann, *Modern Computer
-Arithmetic* §4.9).  ``_split`` writes the first n terms as one
-fraction T / (B Q) of exact integers, built by halving the index
-range and combining the halves' products, so the large products are
-few and of balanced size.  Nothing is rounded before the end.
+and ``_split`` writes its first n terms as one fraction T / (B Q) of
+exact integers, built by halving the index range and combining the
+halves' products, so the large products are few and of balanced size.
+Nothing is rounded before the end.  With u = p/q (atan, artanh) or
+x = p/q (exp, sin, cos), q > 0:
 
-- Term count.  After n terms the tail is at most |u|**(2n+1) / (2n+1)
-  for atan (alternating, with decreasing terms) and at most that over
-  1 - u**2 for artanh (geometric majorant).  ``_cap_split`` is the
-  least n with
+    instance  y      qn(n)             b(n)  u/v  tail after n terms
+    atan      -p**2  q**2              2n+1  p/q  |u|**(2n+1) / (2n+1)
+    artanh    p**2   q**2              2n+1  p/q  that over 1 - u**2
+    exp       p      q n               1     1    2 |x|**n / n!
+    sin       -p**2  q**2 (2n) (2n+1)  1     p/q  |x|**(2n+1) / (2n+1)!
+    cos       -p**2  q**2 (2n-1) (2n)  1     1    x**(2n) / (2n)!
 
-      |p|**(2n+1) q**2 2**(t+1)  <=  q**(2n+1) (2n+1) (q**2 - h p**2),
+atan_split needs |u| <= 1/2.  The atan, sin and cos series alternate,
+so once the terms shrink from n on (for sin (2n+2)(2n+3) q**2 >= p**2,
+for cos (2n+1)(2n+2) q**2 >= p**2; always for atan) the tail is at
+most its first term.  artanh has the geometric majorant of ratio u**2.
+exp's later ratios |x| / (k+1) are at most 1/2 once n >= 2|x|, so its
+tail is at most twice its first term from there on.
 
-  h = 0 for atan and 1 for artanh: the tail bound, at most 2**-(t+1),
-  with denominators cleared.  The left side shrinks against the right
-  as n grows, so ``_least`` finds it.
+- Term count.  The count n is the least at which the tail bound, with
+  denominators cleared, is at most 2**-(t+1): an exact integer
+  inequality in n, y**n and qn(1) ... qn(n) (``_Series.tail``), which
+  once true stays true.  The split over [0, n) has those very integers
+  as its P and Q at n - 1, so ``_split_within`` sums up to one below a
+  guess, checks the inequality on its own P and Q, and adds terms one
+  at a time (each a product of a big and a small factor) until it
+  holds; if it already held one below the guess, ``_count`` finds n
+  by exact checks on closed forms such as q**n n!, and the sum starts
+  over.  Either way n is the least count a linear scan finds.  The
+  guess is Newton's method on Stirling's formula for exp, sin and cos
+  (``_fact_guess``), and the root of (2n+1) log2|q/p| + log2(2n+1) =
+  t + 1 (+ log2(q**2/(q**2-p**2)) for artanh) for atan, both in 16-bit
+  fixed point; it decides only where the count starts, and no float
+  enters it.
 - One rounding.  The result is the nearest multiple of 2**-(t+1) to
-  p T / (q B Q): at most 2**-(t+2) off.
+  u T / (v B Q): at most 2**-(t+2) off.  ``dyadic.div_nearest_lead``
+  takes that quotient from the operands cut to its length plus 64
+  bits and fixes it with one exact remainder: the same integer as
+  ``div_nearest``, and cheaper where B Q is much longer than t, as for
+  atan (atan(1/5) at 66400 bits: 84-98 ms, against 107-119 ms with
+  the full division).
 - Error total: 2**-(t+1) + 2**-(t+2) < 2**-t.
 
 ``pi_within(t)`` is 16 atan(1/5) - 4 atan(1/239) with the two terms at
@@ -156,34 +180,56 @@ t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t; scaling and
 subtracting dyadics is exact), and ``ln2_within(t)`` is 2 atanh(1/3)
 with the term at t+1.  ``ln_window(a, b)`` writes a rational a/b > 0
 as 2**e (q+p)/(q-p) with p/q in (-1/5, 1/7], so that
-ln(a/b) = e ln 2 + 2 atanh(p/q); the approximation backend takes that
-path for a literal argument of ln when ``split_pays`` says so.
+ln(a/b) = e ln 2 + 2 atanh(p/q).
 
-Splitting pays only for a short denominator.  The artanh series needs
-about t / (2 log2 |q/p|) terms, and each term adds about 2 log2 q bits
-to Q, so the final products and the division are about
-t bits(q) / log2 |q/p| bits wide, where the fixed-point ``ln1p``
-kernel runs one t-bit product per term.  ``split_pays(q, t)`` is
-2 bits(q)**2 <= t, fitted to where the two routes cross.  Measured
-(CPython 3.11, one core of a shared 2-CPU machine) on ln of four
-seeded literals per size, as the time of atanh by ``atan_split`` over
-that of the ``ln1p`` route, min-max; ``*`` where the predicate picks
-splitting for all four literals, ``+`` for some:
+Routes.  The approximation backend sums exp, sin and cos of a literal
+(an exact rational, or its negation) by ``exp_split`` and
+``sincos_split`` when ``literal_split_pays(x, t)`` says so, and ln of
+one by the window's atanh when ``split_pays(q, t)`` does; otherwise it
+takes the reductions above.  The interval backend always takes the
+reductions, so for literal arguments the two backends run different
+algorithms, and the conformance cross-check compares them.  Splitting
+pays for a short argument: each term adds about bits(q) + log2 n bits
+to Q (2 bits(q) for atanh), and exp, sin and cos need at least about
+e|x| terms, where the reductions run about sqrt(t) products of t bits
+whatever x is.  The predicates are fitted to where the routes cross:
 
-    digits  bits(q)  t = 500    1000       2000       4000       8000
-     4      13-15    0.38-0.67* 0.33-0.52* 0.15-0.29* 0.08-0.16* 0.04-0.09*
-     8      21-28    0.78-1.10  0.66-1.02+ 0.42-0.62* 0.17-0.31* 0.12-0.25*
-    12      36-40    1.40-1.67  1.31-1.77  0.91-1.06  0.45-0.72* 0.22-0.66*
-    17      55-56    2.5-4.6    1.6-3.7    1.4-2.2    0.79-1.27  0.55-1.47*
-    24      78-81    3.5-6.3    4.5-6.1    2.7-4.4    1.1-1.9    0.75-1.13
-    36      118-120  8.1-13     8.1-13     5.6-7.5    2.9-3.6    1.5-1.9
-    100     329-333  20-71      36-109     24-39      11-19      7.5-12
+    literal_split_pays(x, t):  640 + 2 bits(q)**2 + 48 ceil|x|  <=  t
+    split_pays(q, t):          bits(q) <= 20  or  8 bits(q)**2 <= t
 
-At t = 13000 the rows read 0.03-0.08*, 0.10-0.19*, 0.16-0.42*,
-0.25-1.18*, 0.55-0.72+, 0.79-1.35 and 4.9-6.6.  The table predates
-the square roots of ``ln_reduced``, which made the series route
-faster: against it, splitting takes 1.6-5.9 times as long on three
-17-digit literals at t = 8000, where the predicate picks it.
+The |x| term keeps a huge literal on the reductions: exp(-100000.5)
+would split only from about 4.8 million bits on and sin(10**9) from
+48 billion, both past PRECISION_LIMIT.  Measured (CPython 3.11, one
+core of a shared 2-CPU machine) as the time of the node's
+``_compute(t)`` by splitting over that by the reduction, min-max,
+``*`` where the predicate picks splitting for every literal of the
+cell and ``+`` for some; the columns are t.  exp, sin and cos, each
+of two seeded literals per row:
+
+    literal            bits(q)  500         1000        2000        4000        8000
+    x.xx, |x| <= 1          4  0.79-0.90   0.56-0.69*  0.27-0.46*  0.14-0.22*  0.06-0.12*
+    x.xx, |x| <= 6        5-6  0.83-1.17   0.59-0.86*  0.35-0.55*  0.09-0.32*  0.10-0.16*
+    integer <= 6            1  0.77-1.41   0.45-0.89*  0.22-0.48*  0.11-0.32*  0.06-0.18*
+    x.xxxx              10-11  0.92-1.32   0.62-1.83*  0.41-0.71*  0.22-0.41*  0.14-0.22*
+    x.xxxxxxx              20  1.20-1.29   0.80-1.21   0.55-1.14*  0.32-0.59*  0.20-0.29*
+    x.xxxxxxxxxxx       38-40  1.49-2.04   1.33-1.80   1.05-1.44   0.58-0.86*  0.40-0.49*
+    xx.xx, |x| ~ 30       6-7  1.47-2.38   1.12-1.97   0.72-1.20   0.44-0.74*  0.23-0.34*
+    xxx.xx, |x| ~ 100     4-6  2.36-3.84   1.82-3.25   1.16-1.75   0.42-0.97   0.32-0.53*
+
+ln of three seeded literals of each number of digits, with the bits
+of their windows' q (q is the window's denominator; the earlier fit,
+2 bits(q)**2 <= t, was measured against ln_reduced before its square
+roots, which made the reduction 1.6-5.9 times faster than splitting at
+17 digits and 8000 bits, where that fit picked splitting):
+
+    digits bits(q)  64          250         1000        4000        16000
+    3        4-11  0.67-0.85*  0.41-0.68*  0.34-0.45*  0.17-0.20*  0.03-0.10*
+    4       12-15  0.64-0.86*  0.58-0.81*  0.31-0.77*  0.08-0.41*  0.04-0.22*
+    6       15-19  0.51-0.70*  0.61-0.91*  0.54-0.73*  0.29-0.41*  0.14-0.20*
+    8       24-27  0.82-0.90   0.78-1.06   0.52-1.37   0.31-0.97   0.13-0.65*
+    12      40-41  0.84-1.12   0.98-1.34   1.18-1.80   0.66-1.51   0.34-0.82*
+    17      55-57  0.92-0.97   1.35-1.42   2.40-2.95   1.73-2.25   0.93-1.17
+    24      79-81  1.16-1.37   1.31-3.53   1.88-6.29   1.14-5.40   0.57-2.13
 
 Constant ladder
 ---------------
@@ -196,7 +242,10 @@ raw value at j is
 where ``ladder_rung`` rounds j up to its three leading bits, so
 j <= J < 1.25 j (J = j below 8), and ``within`` is ``pi_within`` or
 ``ln2_within``.  within(J + 1) is computed once per rung and kept;
-every other precision up to that rung is a grid rounding of it.
+every other precision up to that rung is a grid rounding of it.  The
+node keeps at most 256 of those roundings (functions._LADDER_MEMO) and
+then starts over, so a stream of fresh precisions does not grow the
+shared node's memory.
 
 - Error: 2**-(J+1) + 2**-(j+2) <= (3/4) 2**-j, inside the raw
   contract of 2**-j.
@@ -210,11 +259,13 @@ every other precision up to that rung is a grid rounding of it.
   the precision it asked for.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple, Optional
 from math import factorial, gcd, isqrt
 
-from .dyadic import (BigDyadic, ZERO, clamp_unit, div_nearest, dyadic,
-                     shift_nearest)
+from .dyadic import (BigDyadic, ZERO, clamp_unit, div_nearest,
+                     div_nearest_lead, dyadic, shift_nearest)
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -315,10 +366,11 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 # the least n at which an exact integer inequality "bound(n) <= 2**-(t+1)"
 # holds.  Every bound shrinks strictly with n, its successive ratio being
 # 5/(8(n+1)) for exp, (9/8)**2/((2n+2)(2n+3)) for sin,
-# (9/8)**2/((2n+1)(2n+2)) for cos, (5/8)(n+1)/(n+2) for ln1p and
-# u**2 (2n+1)/(2n+3) for binary splitting.  So each inequality, once
-# true, stays true, and _least finds the first n where it holds by
-# doubling and bisection: O(log n) exact checks of one big product each.
+# (9/8)**2/((2n+1)(2n+2)) for cos and (5/8)(n+1)/(n+2) for ln1p.  So
+# each inequality, once true, stays true, and _least finds the first n
+# where it holds by doubling and bisection: O(log n) exact checks of one
+# big product each.  Binary splitting counts its terms the same way
+# ("Binary splitting" above), but from a close guess.
 
 # Each cap is a pure function of t, and the deepening loops ask for the
 # same few hundred widths over and over; the memo is bounded, so a
@@ -326,13 +378,26 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 _CAP_MEMO = 1024
 
 
-def _least(done) -> int:
-    """Least n >= 0 with done(n), for done false below some n, true above."""
-    if done(0):
-        return 0
-    lo, hi = 0, 1
-    while not done(hi):
-        lo, hi = hi, 2 * hi
+def _least(done, guess: int = 0) -> int:
+    """Least n >= 0 with done(n), for done false below some n, true above.
+
+    The search gallops out from ``guess``, so a guess one above the
+    answer costs two checks.
+    """
+    step = 1
+    if done(guess):
+        hi = guess
+        lo = hi - step
+        while lo >= 0 and done(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)    # done(-1) is taken as false
+    else:
+        lo = guess
+        hi = lo + step
+        while not done(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
     # done(lo) is false and done(hi) is true
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -505,57 +570,210 @@ def ln_reduced(arg, c: int, t: int, ln2) -> BigDyadic:
 
 # -- binary splitting -----------------------------------------------------
 
+class _Series(NamedTuple):
+    """(u/v) times the sum over n >= 0 of y**n / (qn(1) ... qn(n) bn(n)).
+
+    bn is None for b(n) = 1; qprod(n) is qn(1) ... qn(n) in closed form;
+    tail(n, y**n, qprod(n)) says whether the tail after n terms is at
+    most 2**-(t+1), and holds for every n from some least one on; guess
+    is about that least n.
+    """
+
+    y: int
+    qn: Callable[[int], int]
+    bn: Optional[Callable[[int], int]]
+    u: int
+    v: int
+    qprod: Callable[[int], int]
+    tail: Callable[[int, int, int], bool]
+    guess: int
+
+
 # Below this many terms a range of the series is summed by a plain loop:
 # recursing further costs more in calls than it saves in product sizes.
 _SPLIT_LEAF = 8
 
 
-def _split(n1: int, n2: int, y: int, z: int):
-    """(P, Q, B, T) for the terms n1 <= n < n2 of sum (y/z)**n / (2n+1).
+def _split(n1: int, n2: int, s: _Series):
+    """(P, Q, B, T) for the terms n1 <= n < n2 of the series s.
 
-    Term n is r(1) ... r(n) / (2n+1) with ratios r(i) = y/z (r(0) = 1).
-    P and Q are the products of the ratios' numerators and denominators
-    over the range, B the product of the 2n+1, and T = B Q S, where S
-    is the range's sum over r(1) ... r(n1-1).  All are exact integers;
-    the halves [n1, m) and [m, n2) combine as P1 P2, Q1 Q2, B1 B2 and
-    B2 Q2 T1 + B1 P1 T2.
+    Term n is r(1) ... r(n) / b(n) with ratios r(n) = y / qn(n)
+    (r(0) = 1).  P and Q are the products of the ratios' numerators and
+    denominators over the range, B the product of the b(n), and
+    T = B Q S, where S is the range's sum over r(1) ... r(n1-1).  All
+    are exact integers; the halves [n1, m) and [m, n2) combine as P1 P2,
+    Q1 Q2, B1 B2 and B2 Q2 T1 + B1 P1 T2.
     """
     if n2 - n1 <= _SPLIT_LEAF:
+        y, qn, bn = s.y, s.qn, s.bn
         pp = qq = bb = 1
         tt = 0
         for n in range(n1, n2):
             if n:
-                tt = tt * (2 * n + 1) * z + bb * pp * y
+                c = qn(n)
+                d = bn(n) if bn else 1
+                tt = tt * d * c + bb * pp * y
                 pp *= y
-                qq *= z
-                bb *= 2 * n + 1
+                qq *= c
+                bb *= d
             else:
                 tt = 1
         return pp, qq, bb, tt
     m = (n1 + n2) // 2
-    p1, q1, b1, t1 = _split(n1, m, y, z)
-    p2, q2, b2, t2 = _split(m, n2, y, z)
+    return _join(_split(n1, m, s), _split(m, n2, s))
+
+
+def _join(left, right):
+    """(P, Q, B, T) of two adjacent ranges joined, as in _split."""
+    p1, q1, b1, t1 = left
+    p2, q2, b2, t2 = right
     return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
 
 
-def _cap_split(t: int, p: int, q: int, hyperbolic: bool) -> int:
-    # least n with tail <= 2**-(t+1): |u|**(2n+1) / (2n+1), times
-    # q**2 / (q**2 - p**2) for atanh, u = p/q
+def _count(s: _Series) -> int:
+    """The least n with s.tail, by exact checks from s.guess."""
+    return _least(lambda n: s.tail(n, s.y ** n, s.qprod(n)), s.guess)
+
+
+def _split_within(s: _Series, t: int) -> BigDyadic:
+    """The series s, summed over its least count of terms and rounded
+    once to the 2**-(t+1) grid."""
+    # one below the guess: adding a term costs a few products of one
+    # big factor and a small one, starting over costs the whole sum
+    n = max(1, s.guess - 1)
+    pp, qq, bb, tt = _split(0, n, s)
+    # pp = y**(n-1) and qq = qprod(n - 1): the split's own products
+    # check the count, so it costs no products of its own
+    if s.tail(n - 1, pp, qq):
+        n = _count(s)
+        pp, qq, bb, tt = _split(0, n, s)
+    else:
+        while not s.tail(n, pp * s.y, qq * s.qn(n)):
+            pp, qq, bb, tt = _join((pp, qq, bb, tt), _split(n, n + 1, s))
+            n += 1
+    w = budget(t + 1)
+    return dyadic(div_nearest_lead(s.u * tt << w, s.v * bb * qq), -w)
+
+
+# Fixed-point logarithms for the guesses: _lg(x) is about 2**_LG log2 x,
+# and the two constants are log2 e and log2(2 pi) in the same units.  A
+# guess only says where the count starts; exact checks decide it.
+_LG = 16
+_LG_E = 94548
+_LG_2PI = 173768
+
+
+@lru_cache(maxsize=_CAP_MEMO)
+def _lg(x: int) -> int:
+    """floor(2**_LG log2 x), or one less, for x >= 1: the integer part
+    from the bit length, then one bit per squaring of x's leading 65
+    bits."""
+    e = x.bit_length() - 1
+    y = x << (64 - e) if e <= 64 else x >> (e - 64)
+    r = e
+    for _ in range(_LG):
+        y = y * y >> 64
+        r <<= 1
+        if y >> 65:
+            y >>= 1
+            r |= 1
+    return r
+
+
+def _fact_guess(s: int, p: int, q: int) -> int:
+    """About the least m >= 2 |p/q| with m! q**m >= 2**s |p|**m.
+
+    Newton's method on Stirling's log2 m! ~ m log2(m/e) + log2(2 pi m)/2,
+    started to the right of the root, where the left side is convex, so
+    that every step stays at or above the root.
+    """
     pa = abs(p)
+    if pa == 0:
+        return 0
+    low = 2 * (pa // q) + 2
+    lx = _lg(pa) - _lg(q)
+    m = max(s, 0) + 4 * low
+    while m > low:
+        lm = _lg(m)
+        g = (m * (lm - _LG_E - lx) + ((lm + _LG_2PI) >> 1)
+             - (s << _LG))
+        step = g // (lm - lx)
+        if step <= 0:
+            break
+        m = max(low, m - step)
+    return m
+
+
+def _atan(t: int, p: int, q: int, hyperbolic: bool) -> _Series:
+    # u sum (-+u**2)**n / (2n+1), u = p/q; after n terms the tail is at
+    # most |u|**(2n+1) / (2n+1), over 1 - u**2 for atanh
+    pa, q2 = abs(p), q * q
     h = pa * pa if hyperbolic else 0
-    return _least(lambda n: pa ** (2 * n + 1) * q * q << (t + 1)
-                  <= q ** (2 * n + 1) * (2 * n + 1) * (q * q - h))
+    guess = 0
+    if pa:
+        # (2n+1) log2|q/p| + log2(2n+1) >= t + 1 + log2(q**2/(q**2-h))
+        lu = _lg(q) - _lg(pa)
+        need = ((t + 1) << _LG) + _lg(q2) - _lg(q2 - h) - lu
+        guess = need // (2 * lu)
+        guess = max(0, -(-(need - _lg(2 * guess + 1)) // (2 * lu)))
+    return _Series(
+        pa * pa if hyperbolic else -pa * pa, lambda n: q2,
+        lambda n: 2 * n + 1, p, q, lambda n: q2 ** n,
+        lambda n, pn, qn: pa * abs(pn) * q2 << (t + 1)
+        <= q * qn * (2 * n + 1) * (q2 - h),
+        guess)
+
+
+def _exp(t: int, p: int, q: int) -> _Series:
+    # sum x**n / n!, x = p/q; once n >= 2|x| the tail after n terms is
+    # at most 2 |x|**n / n!
+    pa = abs(p)
+    return _Series(
+        p, lambda n: q * n, None, 1, 1,
+        lambda n: q ** n * factorial(n),
+        lambda n, pn, qn: n * q >= 2 * pa and abs(pn) << (t + 2) <= qn,
+        _fact_guess(t + 2, p, q))
+
+
+def _sin(t: int, p: int, q: int) -> _Series:
+    # x sum (-x**2)**n / (2n+1)!; alternating, so once the terms shrink
+    # from n on the tail after n terms is at most |x|**(2n+1) / (2n+1)!
+    pa, q2 = abs(p), q * q
+    return _Series(
+        -pa * pa, lambda n: q2 * (2 * n) * (2 * n + 1), None, p, q,
+        lambda n: q2 ** n * factorial(2 * n + 1),
+        lambda n, pn, qn: (2 * n + 2) * (2 * n + 3) * q2 >= pa * pa
+        and pa * abs(pn) << (t + 1) <= q * qn,
+        _fact_guess(t + 1, p, q) // 2)
+
+
+def _cos(t: int, p: int, q: int) -> _Series:
+    # sum (-x**2)**n / (2n)!; as for sin, the tail after n terms is at
+    # most x**(2n) / (2n)! once the terms shrink from n on
+    pa, q2 = abs(p), q * q
+    return _Series(
+        -pa * pa, lambda n: q2 * (2 * n - 1) * (2 * n), None, 1, 1,
+        lambda n: q2 ** n * factorial(2 * n),
+        lambda n, pn, qn: (2 * n + 1) * (2 * n + 2) * q2 >= pa * pa
+        and abs(pn) << (t + 1) <= qn,
+        (_fact_guess(t + 1, p, q) + 1) // 2)
 
 
 def atan_split(p: int, q: int, t: int, hyperbolic: bool = False) -> BigDyadic:
     """arctan(p/q), or artanh(p/q) if hyperbolic, within 2**-t, for q > 0
     and |p/q| <= 1/2, by binary splitting."""
-    w = budget(t + 1)
-    n = _cap_split(t, p, q, hyperbolic)
-    if n == 0:
-        return ZERO
-    _, qq, bb, tt = _split(0, n, p * p if hyperbolic else -p * p, q * q)
-    return dyadic(div_nearest(p * tt << w, q * bb * qq), -w)
+    return _split_within(_atan(t, p, q, hyperbolic), t)
+
+
+def exp_split(p: int, q: int, t: int) -> BigDyadic:
+    """exp(p/q) within 2**-t, for q > 0, by binary splitting."""
+    return _split_within(_exp(t, p, q), t)
+
+
+def sincos_split(p: int, q: int, t: int, want_sin: bool) -> BigDyadic:
+    """sin(p/q), or cos(p/q), within 2**-t, for q > 0, by binary
+    splitting."""
+    return _split_within((_sin if want_sin else _cos)(t, p, q), t)
 
 
 def pi_within(t: int) -> BigDyadic:
@@ -588,12 +806,22 @@ def ln_window(a: int, b: int):
 
 
 def split_pays(q: int, t: int) -> bool:
-    """Whether atan_split beats the fixed-point series at target t for an
-    argument with denominator q (see "Binary splitting" above)."""
-    return 2 * q.bit_length() ** 2 <= t
+    """Whether atan_split beats ln_reduced at target t for ln of a literal
+    whose window has denominator q (see "Binary splitting" above)."""
+    b = q.bit_length()
+    return b <= 20 or 8 * b * b <= t
+
+
+def literal_split_pays(x: Fraction, t: int) -> bool:
+    """Whether exp_split and sincos_split beat exp_reduced and
+    sincos_reduced at target t for the literal x (see "Binary
+    splitting" above)."""
+    mag = -(-abs(x.numerator) // x.denominator)
+    return 640 + 2 * x.denominator.bit_length() ** 2 + 48 * mag <= t
 
 
 def ladder_rung(j: int) -> int:
     """j rounded up to its three leading bits: j <= rung < 1.25 j."""
     s = max(0, j.bit_length() - 3)
     return -(-j >> s) << s
+

@@ -276,6 +276,45 @@ def _cap_split(t: int, p: int, q: int, hyperbolic: bool) -> int:
         pd *= q * q
     return n
 
+
+def _cap_exp_split(t: int, p: int, q: int) -> int:
+    # terms of the exp series at x = p/q after which the tail is at most
+    # 2**-(t+1): the least n >= 2|x| with 2 |x|**n / n! <= 2**-(t+1)
+    pa = abs(p)
+    n, pn, pd = 0, 1, 1
+    bound = 1 << (t + 2)
+    while n * q < 2 * pa or pn * bound > pd:
+        n += 1
+        pn *= pa
+        pd *= q * n
+    return n
+
+
+def _cap_sin_split(t: int, p: int, q: int) -> int:
+    # terms of the sin series at x = p/q after which the first omitted
+    # one, |x|**(2n+1) / (2n+1)!, is at most 2**-(t+1) and the terms
+    # shrink from there on
+    pa = abs(p)
+    n, pn, pd = 0, pa, q
+    bound = 1 << (t + 1)
+    while (2 * n + 2) * (2 * n + 3) * q * q < pa * pa or pn * bound > pd:
+        n += 1
+        pn *= pa * pa
+        pd *= q * q * (2 * n) * (2 * n + 1)
+    return n
+
+
+def _cap_cos_split(t: int, p: int, q: int) -> int:
+    # as _cap_sin_split, with the first omitted term x**(2n) / (2n)!
+    pa = abs(p)
+    n, pn, pd = 0, 1, 1
+    bound = 1 << (t + 1)
+    while (2 * n + 1) * (2 * n + 2) * q * q < pa * pa or pn * bound > pd:
+        n += 1
+        pn *= pa * pa
+        pd *= q * q * (2 * n - 1) * (2 * n)
+    return n
+
 # -- interval evaluation over the expression AST --------------------------
 
 class OracleDomainError(Exception):

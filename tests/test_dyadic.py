@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, strategies as st
 
 from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
                              TWO, ZERO,
-                             decimal_to_int, div_nearest, dyadic,
+                             decimal_to_int, div_nearest,
+                             div_nearest_lead, dyadic,
                              from_fraction_nearest, from_int, int_to_decimal,
                              power_of_two, round_ceil, round_floor, round_to,
                              shift_nearest, to_decimal_string)
@@ -115,6 +117,46 @@ def shifted_ints(draw):
 def test_shift_nearest_equals_div_nearest(case):
     a, s = case
     assert shift_nearest(a, s) == div_nearest(a, 1 << s)
+
+
+@st.composite
+def long_quotients(draw):
+    """(a, b): b up to 20000 bits and a of either sign with a quotient
+    from none to longer than b, or an exact tie a = (2q+1) b / 2 with b
+    even, or one off such a tie."""
+    b = draw(st.integers(1, 1 << draw(st.integers(1, 20000))))
+    kind = draw(st.sampled_from(("any", "tie", "off")))
+    q = draw(st.integers(-(1 << draw(st.integers(0, 25000))), 1 << 25000))
+    if kind == "any":
+        return q * b + draw(st.integers(-b, b)), b
+    a = (2 * q + 1) * b
+    if kind == "off":
+        a += draw(st.sampled_from((-1, 1)))
+    return a, 2 * b
+
+
+@given(long_quotients())
+@example((0, 1 << 9000)).via("zero over a long divisor")
+@example((-1, (1 << 9000) + 1)).via("minus one over a long divisor")
+@example((3 << 8999, 1 << 9000)).via("tie above an odd floor")
+@example((-(5 << 8999), 1 << 9000)).via("negative tie above an odd floor")
+def test_div_nearest_lead_equals_div_nearest(case):
+    a, b = case
+    assert div_nearest_lead(a, b) == div_nearest(a, b)
+
+
+def test_div_nearest_lead_on_splitting_sizes():
+    # the shapes binary splitting divides: a divisor longer than the
+    # quotient, many times over, with ties built at every size
+    rng = random.Random("div-lead")
+    for _ in range(300):
+        b = rng.getrandbits(rng.randint(64, 60000)) | 1
+        q = rng.getrandbits(rng.randint(1, 20000)) * rng.choice((1, -1))
+        for a, d in ((q * b + rng.randint(-b, b), b),
+                     ((2 * q + 1) * b, 2 * b)):
+            assert div_nearest_lead(a, d) == div_nearest(a, d)
+    with pytest.raises(ValueError):
+        div_nearest_lead(1, 0)
 
 
 def test_shift_nearest_rejects_negative_shift():

@@ -126,6 +126,92 @@ def test_sin_cos_tan_honest_at_high_precision(k):
         _check(tan(const(v), find_apart(cos(const(v)))), k, tlo, thi)
 
 
+# Literal exp, sin and cos: an exact rational argument, or its negation,
+# takes binary splitting (kernels.literal_split_pays).  Both signs,
+# |x| up to 6, q in {1, 20, 25, 100} and a 7-digit q.
+_LITERAL_Q = (1, 20, 25, 100, 1000003)
+
+
+def _literal_args(k):
+    rng = random.Random(f"literal-{k}")
+    return [Fraction(6), Fraction(-6)] + [
+        Fraction(rng.randint(-6 * q, 6 * q), q) for q in _LITERAL_Q]
+
+
+def _literal_node(v):
+    # a negative literal as the parser builds "(-x)": the negation of a
+    # positive constant
+    return const(v) if v >= 0 else -const(-v)
+
+
+def _spy_splits(monkeypatch):
+    calls = []
+    for name in ("exp_split", "sincos_split"):
+        real = getattr(functions.kernels, name)
+
+        def spy(*args, _real=real):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(functions.kernels, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", HIGH_K)
+def test_literal_exp_sin_cos_honest_at_high_precision(monkeypatch, k):
+    monkeypatch.setattr(functions.kernels, "literal_split_pays",
+                        lambda x, t: True)
+    calls = _spy_splits(monkeypatch)
+    for v in _literal_args(k):
+        x = _literal_node(v)
+        lo, hi = oracles.exp_bounds(v, k + 10)
+        _check(exp(x), k, lo, hi)
+        slo, shi = oracles.sin_bounds(v, k + 10)
+        _check(sin(x), k, slo, shi)
+        clo, chi = oracles.cos_bounds(v, k + 10)
+        _check(cos(x), k, clo, chi)
+    assert len(calls) == 3 * len(_literal_args(k))
+
+
+def _switch_k(v):
+    # the least k whose raw precision k + 2 takes the splitting route
+    return next(k for k in range(4000)
+                if functions.kernels.literal_split_pays(v, k + 2))
+
+
+def test_literal_routes_agree_where_the_predicate_switches(monkeypatch):
+    args = [Fraction(137, 100), Fraction(-599, 100), Fraction(3),
+            Fraction(-2718281, 1000003)]
+    for v, k0 in [(v, _switch_k(v)) for v in args]:
+        for k in (k0 - 1, k0, k0 + 1):
+            routes = []
+            for split in (True, False):
+                monkeypatch.setattr(functions.kernels, "literal_split_pays",
+                                    lambda x, t: split)
+                routes.append([f(_literal_node(v)).approx(k).as_fraction()
+                               for f in (exp, sin, cos)])
+            for a, b in zip(*routes):
+                assert abs(a - b) <= _tol(k), (v, k)
+
+
+def test_huge_literals_keep_the_reduction(monkeypatch):
+    # a split would need millions of terms here: the predicate keeps
+    # the reduction, its answers and its typed errors
+    calls = _spy_splits(monkeypatch)
+    cases = [("exp(-100000.5)", 2000), ("sin(1000000000)", 3000),
+             ("cos(-1000000000.5)", 4000), ("exp(-100000.5)", 20000)]
+    got = [lang.elaborate(lang.parse_expression(text)).approx(k)
+           for text, k in cases]
+    with pytest.raises(ResourceExhausted):
+        exp(const(10 ** 9)).approx(10)
+    assert not calls
+    monkeypatch.setattr(functions.kernels, "literal_split_pays",
+                        lambda x, t: False)
+    assert got == [lang.elaborate(lang.parse_expression(text)).approx(k)
+                   for text, k in cases]
+    assert got[0].is_zero()
+
+
 # ln of a full-width argument, exp(r) rounded down, for r whose window
 # (kernels.ln_reduced) takes e = 0 and e != 0, with u on both sides of
 # 1.  Only at 13000 bits does the series' error, scaled by the 2**s of
@@ -339,6 +425,27 @@ def test_long_literal_keeps_the_series_route(monkeypatch):
     assert set(calls) <= {3}
     _literal_ln(Fraction(1166, 100), 1000)
     assert set(calls) - {3}
+
+
+def test_short_ln_literal_still_splits(monkeypatch):
+    # a 4-digit ln argument at 1000-1300 digits, as in the benchmark's
+    # ln cell, keeps binary splitting under the refitted split_pays
+    real = functions.kernels.atan_split
+    calls = []
+
+    def spy(p, q, t, hyperbolic=False):
+        calls.append(q)
+        return real(p, q, t, hyperbolic)
+
+    monkeypatch.setattr(functions.kernels, "atan_split", spy)
+    rng = random.Random("short-ln")
+    for _ in range(6):
+        v = Fraction(rng.randint(140, 1200), 100)
+        k = rng.randint(3322, 4319)
+        lo, hi = oracles.ln_bounds(v, k + 10)
+        got = _literal_ln(v, k).as_fraction()
+        assert lo - _tol(k) <= got <= hi + _tol(k), (v, k)
+    assert len(set(calls) - {3}) >= 4
 
 
 # Precisions asked of the pi and ln 2 ladders, on both sides of every

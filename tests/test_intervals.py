@@ -227,7 +227,9 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     # step; and round_to for the interval backend, which such a fault
     # must not reach.  ln's reduction rounds nothing to a grid (its
     # square roots are integer floors), so the fault must not reach the
-    # interval backend's ln either
+    # interval backend's ln either.  A literal argument takes binary
+    # splitting instead (kernels.literal_split_pays), so the reductions
+    # are reached through arguments that are sums
     from certreal import creal, functions, kernels
 
     honest = creal.grid_round
@@ -235,19 +237,28 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     sin7 = intervals._sincos_point(dyadic(7), 2000, want_sin=True)
     ln3 = intervals._ln_point(dyadic(3), 2000)
     # 3 and 7 need 3 halvings and 2 triplings for their range
-    cases = ((functions.exp(3), 3 + kernels.extra_halvings(2000)),
-             (functions.sin(7), 2 + kernels.extra_triplings(2000)))
+    cases = ((functions.exp(creal.const(1) + 2),
+              3 + kernels.extra_halvings(2000)),
+             (functions.sin(creal.const(3) + 4),
+              2 + kernels.extra_triplings(2000)))
+    grids = Counter()
+
+    def counting(a, k):
+        grids[k] += 1
+        return honest(a, k)
+
+    monkeypatch.setattr(creal, "grid_round", counting)
     for node, steps in cases:
-        grids = Counter()
-
-        def counting(a, k):
-            grids[k] += 1
-            return honest(a, k)
-
-        monkeypatch.setattr(creal, "grid_round", counting)
+        grids.clear()
         node.approx(2000)
         # every step of the reduction rounds to one working grid
         assert max(grids.values()) >= steps, grids
+    # the literal route rounds once, through creal.grid_round, at raw
+    # precision j = 2002 to the 2**-(j+1) grid, and approx rounds again
+    for node in (functions.exp(3), functions.sin(7), functions.cos(7)):
+        grids.clear()
+        node.approx(2000)
+        assert grids == Counter({2003: 1, 2001: 1}), grids
 
     def broken(a, k):
         raise AssertionError("interval backend used creal.grid_round")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from certreal import kernels
-from certreal.dyadic import dyadic, round_to
+from certreal.dyadic import div_nearest, dyadic, round_to
 
 widths = st.integers(20, 400)
 caps = st.integers(1, 80)
@@ -146,7 +146,7 @@ def test_atan_cap_equals_linear_scan(p, q):
     # atan_split's term count against the alternating series' own rule:
     # stop before the first term of size at most 2**-(t+1)
     for t in _cap_targets():
-        assert (kernels._cap_split(t, p, q, False)
+        assert (kernels._count(kernels._atan(t, p, q, False))
                 == oracles._cap_atan(t, p, q)), t
 
 
@@ -162,7 +162,7 @@ _SPLIT_ARGS = [(1, 5), (1, 239), (1, 3), (1, 2), (-1, 2), (0, 3), (-1, 5),
 def test_split_cap_equals_linear_scan(p, q):
     for t in _cap_targets():
         for h in (False, True):
-            assert (kernels._cap_split(t, p, q, h)
+            assert (kernels._count(kernels._atan(t, p, q, h))
                     == oracles._cap_split(t, p, q, h)), (t, h)
 
 
@@ -192,6 +192,84 @@ def test_atan_split_within_target():
             lo, hi = _atanh_bounds(p, q, t + 20)
             _assert_within(kernels.atan_split(p, q, t, hyperbolic=True),
                            lo, hi, t)
+
+
+# -- binary splitting of exp, sin and cos at an exact rational -------------
+
+# zero, both signs, |x| up to 6, q in {1, 20, 25, 100} and a 7-digit q
+_LITERALS = [(0, 1), (1, 1), (-6, 1), (7, 20), (-119, 20), (-3, 25),
+             (149, 25), (137, 100), (-599, 100), (2718281, 1000003),
+             (-5999999, 1000003)]
+
+_LITERAL_SERIES = {
+    "exp": (kernels._exp, oracles._cap_exp_split, oracles.exp_bounds,
+            lambda p, q, t: kernels.exp_split(p, q, t)),
+    "sin": (kernels._sin, oracles._cap_sin_split, oracles.sin_bounds,
+            lambda p, q, t: kernels.sincos_split(p, q, t, True)),
+    "cos": (kernels._cos, oracles._cap_cos_split, oracles.cos_bounds,
+            lambda p, q, t: kernels.sincos_split(p, q, t, False)),
+}
+
+
+def _literal_targets():
+    rng = random.Random("literal-caps")
+    return list(range(200)) + sorted(rng.randint(200, 8000)
+                                      for _ in range(12))
+
+
+@pytest.mark.parametrize("name", sorted(_LITERAL_SERIES))
+def test_literal_count_equals_linear_scan(name):
+    series, reference = _LITERAL_SERIES[name][:2]
+    for p, q in _LITERALS:
+        for t in _literal_targets():
+            assert kernels._count(series(t, p, q)) == reference(t, p, q), \
+                (p, q, t)
+
+
+def _exact_sum(name, p, q, n):
+    # the first n terms of the series, as one exact rational
+    x = Fraction(p, q)
+    total, term = Fraction(0), Fraction(1) if name != "sin" else x
+    for k in range(n):
+        total += term
+        if name == "exp":
+            term *= x / (k + 1)
+        elif name == "sin":
+            term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+        else:
+            term *= -x * x / ((2 * k + 1) * (2 * k + 2))
+    return total
+
+
+@pytest.mark.parametrize("shift", [-5, 0, 5])
+@pytest.mark.parametrize("name", sorted(_LITERAL_SERIES))
+def test_literal_split_sums_the_least_count(monkeypatch, name, shift):
+    # the split counts its terms from its own products, starting near
+    # a guess; off by `shift`, it must still sum exactly the least
+    # count of terms and round that sum once, to the nearest point of
+    # the 2**-(t+1) grid (ties to even)
+    guess = kernels._fact_guess
+    monkeypatch.setattr(kernels, "_fact_guess",
+                        lambda s, p, q: max(0, guess(s, p, q) + shift))
+    split, reference = _LITERAL_SERIES[name][3], _LITERAL_SERIES[name][1]
+    rng = random.Random(f"{name}-sum")
+    for p, q in _LITERALS:
+        for t in (0, 1, 7, rng.randint(8, 200), rng.randint(200, 1200)):
+            exact = _exact_sum(name, p, q, reference(t, p, q))
+            scaled = exact * (1 << (t + 1))
+            want = div_nearest(scaled.numerator, scaled.denominator)
+            got = split(p, q, t)
+            assert got == dyadic(want, -(t + 1)), (p, q, t)
+
+
+@pytest.mark.parametrize("name", sorted(_LITERAL_SERIES))
+def test_literal_split_within_target(name):
+    split, bounds = _LITERAL_SERIES[name][3], _LITERAL_SERIES[name][2]
+    rng = random.Random(f"{name}-split")
+    for t in _targets(rng):
+        for p, q in _LITERALS:
+            lo, hi = bounds(Fraction(p, q), t + 20)
+            _assert_within(split(p, q, t), lo, hi, t)
 
 
 @pytest.mark.parametrize("name", ["pi", "ln2"])
