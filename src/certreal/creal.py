@@ -16,9 +16,10 @@ computation is integer arithmetic, so approximations are deterministic
 and bit-identical across runs and platforms.
 
 A series term may also be an exact dyadic, which is added without
-rounding; a series node keeps the exact sum of its leading exact terms
-and extends it as precision deepens, so each such term is computed
-once.
+rounding.  A series node keeps the exact sum of its leading exact terms
+as an integer mantissa and exponent, adds each term by one integer
+alignment, and extends that prefix as precision deepens, so each such
+term is computed once; the partial sum is rounded once, at the end.
 
 Internally each node computes a slightly better "raw" approximation
 (error at most 2**-j for requested j), kept in one memo keyed by
@@ -42,8 +43,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import dyadic as _dy
-from .dyadic import (BigDyadic, ONE, ZERO, div_nearest, dyadic,
-                     power_of_two, round_to)
+from .dyadic import (BigDyadic, ONE, ZERO, add_aligned, div_nearest,
+                     dyadic, power_of_two, round_to)
 from .errors import InvalidCertificate, ResourceExhausted
 from .intervals import Interval
 from .kernels import PRECISION_LIMIT
@@ -325,15 +326,19 @@ def lim(seq: Callable[[int], CReal], modulus: Callable[[int], int]) -> CReal:
 
 
 class _Series(CReal):
-    # _prefix = (count, sum): the exact sum of terms 0 .. count-1, all
-    # of them exact dyadics.  Any stored prefix is exact, so one that a
-    # racing thread stores instead changes no result.
+    # _prefix = (count, m, e): m * 2**e is the exact sum of terms
+    # 0 .. count-1, all of them exact dyadics, kept as a bare canonical
+    # integer pair.  Each term, and each CReal term's raw value after
+    # the prefix, is added by one integer alignment (dyadic.add_aligned),
+    # and one BigDyadic is built for the single final rounding.  Any
+    # stored prefix is exact, so one that a racing thread stores
+    # instead changes no result.
     __slots__ = ("terms", "tail_bound", "_prefix")
 
     def __init__(self, terms, tail_bound):
         super().__init__()
         self.terms, self.tail_bound = terms, tail_bound
-        self._prefix = (0, ZERO)
+        self._prefix = (0, 0, 0)
 
     def _compute(self, j: int) -> BigDyadic:
         n = self.tail_bound(j + 1)
@@ -345,26 +350,25 @@ class _Series(CReal):
         # CReal terms read at q (exact terms add no error), 2**-(j+2)
         # for the final rounding
         q = j + 2 + (n - 1).bit_length()
-        start, acc = self._prefix
+        start, m, e = self._prefix
         if start > n:
-            start, acc = 0, ZERO
+            start, m, e = 0, 0, 0
         prefix = None
         for i in range(start, n):
             t = self.terms(i)
-            if isinstance(t, BigDyadic):
-                acc = acc + t
-                continue
-            if not isinstance(t, CReal):
-                raise TypeError("terms must produce CReal or BigDyadic "
-                                "values")
-            if prefix is None:
-                prefix = (i, acc)
-            acc = acc + t._raw(q)
+            if not isinstance(t, BigDyadic):
+                if not isinstance(t, CReal):
+                    raise TypeError("terms must produce CReal or BigDyadic "
+                                    "values")
+                if prefix is None:
+                    prefix = (i, m, e)
+                t = t._raw(q)
+            m, e = add_aligned(m, e, t.mantissa, t.exponent)
         if prefix is None:
-            prefix = (n, acc)
+            prefix = (n, m, e)
         if prefix[0] > self._prefix[0]:
             self._prefix = prefix
-        return grid_round(acc, j + 1)
+        return grid_round(dyadic(m, e), j + 1)
 
 
 def series_sum(terms: Callable[[int], CReal | BigDyadic],
@@ -374,9 +378,12 @@ def series_sum(terms: Callable[[int], CReal | BigDyadic],
     Contract: |sum_{n >= tail_bound(k)} terms(n)| <= 2**-k.  The partial
     sum is evaluated to tail_bound(k+1) terms.  A term is a CReal, read
     at a per-term precision that covers the term count, or an exact
-    BigDyadic, added without rounding; the node keeps the exact sum of
-    its leading exact terms and extends it, so each of those is
-    computed once.  Both callables must be pure.
+    BigDyadic, added without rounding.  The node keeps the exact sum of
+    its leading exact terms as an integer mantissa and exponent and
+    extends it, so each of those is computed once; every term is added
+    to that integer pair by alignment, and the partial sum is rounded
+    once, to the 2**-(k+1) grid for a raw request at k.  Both callables
+    must be pure.
     """
     return _Series(terms, tail_bound)
 

@@ -77,23 +77,12 @@ class BigDyadic:
     def __add__(self, other: "BigDyadic") -> "BigDyadic":
         if not isinstance(other, BigDyadic):
             return NotImplemented
-        ma, ea = self.mantissa, self.exponent
-        mb, eb = other.mantissa, other.exponent
-        if ma == 0:
+        if self.mantissa == 0:
             return other
-        if mb == 0:
+        if other.mantissa == 0:
             return self
-        if ea == eb:
-            return dyadic(ma + mb, ea)
-        if ea > eb:
-            shift = ea - eb
-            if shift > _ALIGN_LIMIT:
-                raise ExponentOverflow(f"alignment span {shift} too large")
-            return dyadic((ma << shift) + mb, eb)
-        shift = eb - ea
-        if shift > _ALIGN_LIMIT:
-            raise ExponentOverflow(f"alignment span {shift} too large")
-        return dyadic(ma + (mb << shift), ea)
+        return dyadic(*add_aligned(self.mantissa, self.exponent,
+                                   other.mantissa, other.exponent))
 
     def __sub__(self, other: "BigDyadic") -> "BigDyadic":
         if not isinstance(other, BigDyadic):
@@ -210,7 +199,41 @@ def from_int(n: int) -> BigDyadic:
 
 def power_of_two(e: int) -> BigDyadic:
     """The value 2**e."""
-    return dyadic(1, e)
+    if -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+        return _make(1, e)
+    raise ExponentOverflow(f"dyadic exponent {e} out of range")
+
+
+def add_aligned(ma: int, ea: int, mb: int, eb: int) -> tuple[int, int]:
+    """The exact sum of ma * 2**ea and mb * 2**eb, as a canonical (m, e).
+
+    Both operands must be canonical.  A zero operand is passed over
+    unaligned, so it never raises; otherwise an alignment span over
+    _ALIGN_LIMIT raises ExponentOverflow.  The exponent range is left
+    to whoever builds a BigDyadic from the result.
+    """
+    if ma == 0:
+        return mb, eb
+    if mb == 0:
+        return ma, ea
+    if ea > eb:
+        shift = ea - eb
+        if shift > _ALIGN_LIMIT:
+            raise ExponentOverflow(f"alignment span {shift} too large")
+        m, e = (ma << shift) + mb, eb
+    elif ea < eb:
+        shift = eb - ea
+        if shift > _ALIGN_LIMIT:
+            raise ExponentOverflow(f"alignment span {shift} too large")
+        m, e = ma + (mb << shift), ea
+    else:
+        m, e = ma + mb, ea
+    if m & 1:
+        return m, e
+    if m == 0:
+        return 0, 0
+    shift = (m & -m).bit_length() - 1
+    return m >> shift, e + shift
 
 
 def div_nearest(a: int, b: int) -> int:

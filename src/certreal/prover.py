@@ -441,8 +441,11 @@ def pi01_sum(pred: Pi01Pred) -> CReal:
     """
     if not isinstance(pred, Pi01Pred):
         raise TypeError("pi01_sum expects a parsed predicate")
+    # the series asks only for indices n >= 0, so the parsed closure is
+    # called without evaluate's argument check
+    fn = pred._fn
     return series_sum(
-        lambda n: power_of_two(-n) if pred.evaluate(n) else ZERO,
+        lambda n: power_of_two(-n) if fn(n) else ZERO,
         lambda k: k + 2,
     )
 

@@ -27,13 +27,28 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_first_round_digest(workload):
+# digest_all, over every answer of 20 rounds of pi01-sweep at seed 1:
+# each pi01 node extends its exact prefix many times over a round, and
+# the rounds draw fresh predicates and budgets
+PI01_DEEP_DIGEST = \
+    "664f9208a66cf156f4e2fa78f7922d77558e567e187e3d8514ade806507a2e93"
+
+
+def _run_worker(workload, rounds):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
-         "--rounds", "1"],
+         "--rounds", str(rounds)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["failures"]
-    assert result["digest"] == DIGESTS[workload]
+    return result
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_first_round_digest(workload):
+    assert _run_worker(workload, 1)["digest"] == DIGESTS[workload]
+
+
+def test_pi01_sweep_twenty_round_digest():
+    assert _run_worker("pi01-sweep", 20)["digest_all"] == PI01_DEEP_DIGEST

@@ -15,8 +15,9 @@ from certreal.creal import (ApartnessCertificate, Exhausted, Proved, Refuted,
                             archimedean_bound, cmp_semidecide, const,
                             deepening_schedule, div, find_apart, lim, recip,
                             scale2, series_sum)
-from certreal.dyadic import ZERO, dyadic, power_of_two
-from certreal.errors import InvalidCertificate, ResourceExhausted
+from certreal.dyadic import _ALIGN_LIMIT, ONE, ZERO, dyadic, power_of_two
+from certreal.errors import (ExponentOverflow, InvalidCertificate,
+                             ResourceExhausted)
 from certreal.prover import parse_predicate, pi01_sum
 
 rationals = st.fractions(min_value=-1000, max_value=1000,
@@ -265,6 +266,71 @@ def test_series_mixed_terms_honest():
     s = _mixed_series()
     for k in _SERIES_PRECISIONS + [300]:
         assert abs(s.approx(k).as_fraction() - _MIXED_VALUE) <= _tol(k), k
+
+
+_FAR = _ALIGN_LIMIT + 1
+
+
+@pytest.mark.parametrize("terms,raises", [
+    ([ONE, power_of_two(-_FAR)], True),
+    ([power_of_two(-_FAR), ONE], True),
+    ([ONE, ZERO, power_of_two(-_FAR)], True),
+    ([power_of_two(-_FAR), ZERO, ONE], True),
+    ([ONE, power_of_two(-_ALIGN_LIMIT)], False),
+    ([power_of_two(-_ALIGN_LIMIT), ONE], False),
+    # a zero term is never aligned, whatever its exponent and the others'
+    ([ZERO, power_of_two(-_FAR)], False),
+    ([power_of_two(-_FAR), ZERO], False),
+    ([ZERO, power_of_two(_FAR), ZERO], False),
+    ([ONE, -ONE, power_of_two(-_FAR)], False),
+    # the span runs from the sum's canonical exponent, 0 here, not -1
+    ([power_of_two(-1), power_of_two(-1), power_of_two(_ALIGN_LIMIT)],
+     False),
+])
+def test_series_prefix_alignment_guard(terms, raises):
+    # the exact prefix raises ExponentOverflow where a fold of BigDyadic
+    # additions over the same terms does: at an alignment span over
+    # _ALIGN_LIMIT between nonzero operands
+    def fold():
+        acc = ZERO
+        for t in terms:
+            acc = acc + t
+        return acc
+
+    node = series_sum(lambda n: terms[n], lambda k: len(terms))
+    if raises:
+        with pytest.raises(ExponentOverflow):
+            fold()
+        with pytest.raises(ExponentOverflow):
+            node.approx(0)
+        return
+    want = fold()
+    assert node.approx(0) == creal.grid_round(want, 1)
+    count, m, e = node._prefix
+    assert count == len(terms)
+    assert dyadic(m, e) == want
+
+
+_exact_terms = st.lists(
+    st.one_of(st.just(ZERO),
+              st.builds(dyadic, st.integers(-(1 << 40), 1 << 40),
+                        st.integers(-120, 60))),
+    min_size=1, max_size=40)
+
+
+@given(_exact_terms, st.integers(0, 80))
+@settings(max_examples=200)
+def test_series_prefix_is_the_exact_sum(terms, k):
+    # mixed signs and exponents and zeros: the stored prefix is the
+    # Fraction sum of every term, and approx rounds it once
+    node = series_sum(lambda n: terms[n], lambda k: len(terms))
+    exact = sum((t.as_fraction() for t in terms), Fraction(0))
+    q = node.approx(k)
+    count, m, e = node._prefix
+    assert count == len(terms)
+    assert Fraction(m) * Fraction(2) ** e == exact
+    assert q == creal.grid_round(
+        creal.grid_round(dyadic(m, e), k + 3), k + 1)
 
 
 def test_series_threads_identical():

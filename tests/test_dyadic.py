@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
-                             TWO, ZERO,
+                             TWO, ZERO, add_aligned,
                              decimal_to_int, div_nearest,
                              div_nearest_lead, dyadic,
                              from_fraction_nearest, from_int, int_to_decimal,
@@ -40,6 +40,9 @@ def test_add_sub_mul_exact(a, b):
     assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
     assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
     assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
+    # the integer pair behind + is already canonical
+    m, e = add_aligned(a.mantissa, a.exponent, b.mantissa, b.exponent)
+    assert (m, e) == ((a + b).mantissa, (a + b).exponent)
 
 
 @given(values, st.integers(-300, 300))
@@ -256,6 +259,21 @@ def test_exponent_limits():
         dyadic(1, 0) + dyadic(1, -(1 << 27))
     with pytest.raises(ExponentOverflow):
         round_to(dyadic(1, -(1 << 27)), 0)
+
+
+@pytest.mark.parametrize("e", [-EXPONENT_LIMIT, -1, 0, 1, EXPONENT_LIMIT])
+def test_power_of_two_matches_dyadic(e):
+    # built through the slots, the same value and hash as the
+    # canonicalizing constructor's
+    p = power_of_two(e)
+    assert p == dyadic(1, e) and hash(p) == hash(dyadic(1, e))
+    assert (p.mantissa, p.exponent) == (1, e)
+
+
+@pytest.mark.parametrize("e", [-EXPONENT_LIMIT - 1, EXPONENT_LIMIT + 1])
+def test_power_of_two_past_the_limit(e):
+    with pytest.raises(ExponentOverflow):
+        power_of_two(e)
 
 
 def test_compare_alignment_guard():

@@ -13,6 +13,7 @@ from certreal import (ConformanceError, Counterexample, DomainBudget,
                       outcome_jsonable, parse_predicate, pi01_decide,
                       pi01_sum, prove, verify_outcome, witness_search)
 from certreal import prover
+from certreal.dyadic import ZERO, power_of_two
 
 # a divisor this small forces the interval backend to skip its coarse
 # precisions: the outward enclosure of 1e-18 contains zero until the
@@ -354,6 +355,9 @@ def test_predicate_power_over_the_bit_limit():
         r.evaluate(3)
     with pytest.raises(ResourceExhausted):
         pi01_decide("n ^ 100000000 > 0")
+    # over the limit only from n = 4 on, deep inside the sweep
+    with pytest.raises(ResourceExhausted):
+        pi01_decide(f"n ^ {prover.POW_BIT_LIMIT // 2} >= 0")
 
 
 _LIMIT = prover.DEPTH_LIMIT
@@ -502,6 +506,23 @@ def test_pi01_sum_closed_forms():
     for text, exact in cases:
         q = pi01_sum(parse_predicate(text)).approx(30).as_fraction()
         assert abs(q - exact) <= Fraction(1, 1 << 30), text
+
+
+@pytest.mark.parametrize("text", [
+    # the pi01-sweep predicate shapes, and a power
+    "n < 37", "not (3 | n) or n < 50", "n * n < 1234", "(2 | n) or n < 91",
+    "not (7 | n) or n < 120", "n + 1 > n", "not (2 | n) or (2 | n * n)",
+    "2 | n * (n + 1)", "n * n >= 0", "not (3 | n) or (3 | n * n)",
+    "n ^ 3 - n ^ 2 < 20000000",
+])
+def test_pi01_sum_terms_follow_evaluate(text):
+    # pi01_sum calls the parsed closure without evaluate's checks; its
+    # terms must still be what evaluate says, term by term
+    pred = parse_predicate(text)
+    terms = pi01_sum(pred).terms
+    for n in range(301):
+        want = power_of_two(-n) if pred.evaluate(n) else ZERO
+        assert terms(n) == want, n
 
 
 def test_pi01_sum_rejects_raw_strings():
