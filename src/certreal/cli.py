@@ -9,10 +9,10 @@ Four subcommands:
 
 Exit codes: 0 proved / counterexample found / success, 1 refuted or
 selftest failure, 2 budget exhausted (no decision, including a
-ResourceExhausted error), 3 usage or evaluation error, 4 internal
-error (a ConformanceError between the backends, or an unexpected
-exception such as RecursionError on deeply nested input; never a
-verdict).  JSON output (--json) follows docs/cli-schema.json.
+ResourceExhausted error), 3 usage or evaluation error (including an
+expression nested past lang.DEPTH_LIMIT), 4 internal error (a
+ConformanceError between the backends, or any other unexpected
+exception; never a verdict).  JSON output (--json) follows docs/cli-schema.json.
 """
 
 from __future__ import annotations

@@ -214,10 +214,19 @@ class _Mul(CReal):
     def _compute(self, j: int) -> BigDyadic:
         # magnitude bounds from coarse approximations drive the operand
         # precisions:  |x| <= |approx(x,0)| + 1 <= 2**ax
-        ax = (abs(self.x.approx(0)) + ONE).ceil_log2()
-        ay = (abs(self.y.approx(0)) + ONE).ceil_log2()
-        xv = self.x._raw(j + 2 + ay)
-        yv = self.y._raw(j + 3 + ax)
+        x, y = self.x, self.y
+        ax = (abs(x.approx(0)) + ONE).ceil_log2()
+        if x is y:
+            # a square reads its operand once, at j + 3 + ax, and so
+            # hits its own memo: with d = 2**-(j+3+ax),
+            #   |x**2 - v**2| = |x - v| |x + v| <= d (2**(ax+1) + d)
+            #                 = 2**-(j+2) + d**2,
+            # and the rounding adds 2**-(j+2), within 2**-j in all
+            v = x._raw(j + 3 + ax)
+            return grid_round(v * v, j + 1)
+        ay = (abs(y.approx(0)) + ONE).ceil_log2()
+        xv = x._raw(j + 2 + ay)
+        yv = y._raw(j + 3 + ax)
         return grid_round(xv * yv, j + 1)
 
 

@@ -13,10 +13,17 @@ The point of having two backends is cross-checking: conformance_check
 compares an interval enclosure against the approximation backend's
 certified enclosure of the same expression and fails loudly if they
 are disjoint, which would mean one of the two is wrong.
+
+When an expression repeats a subterm, one evaluation pass computes
+each distinct call and pi once per working precision: the pass
+memoizes their enclosures by (structure id, precision), the ids coming
+from a lang.Sharing.  A hit returns the very enclosure the pass would
+recompute, so no bit changes, and the memo ends with the pass.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from . import kernels
@@ -161,10 +168,20 @@ def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
                     clamp_unit(round_ceil(v + rad + r, w)))
 
 
+class _Pass(threading.local):
+    # the running pass's memo, (structure id, w) -> enclosure of a call
+    # or pi, and the structure ids it is keyed by; memo is None when the
+    # expression repeats no subterm, and outside a pass
+    memo = None
+    ids = None
+
+
+_pass = _Pass()
+
+
 def _eval(e, w: int) -> Interval:
     from . import lang
 
-    r = power_of_two(-(w + 2))
     if isinstance(e, lang.IntLit):
         return point(dyadic(e.value))
     if isinstance(e, lang.DecLit):
@@ -173,7 +190,17 @@ def _eval(e, w: int) -> Interval:
         return Interval(dyadic(scaled // den, -w),
                         dyadic(-((-scaled) // den), -w))
     if isinstance(e, lang.PiConst):
-        return from_point_err(kernels.pi_within(w + 2), r, w)
+        memo = _pass.memo
+        if memo is not None:
+            key = (_pass.ids[id(e)], w)
+            iv = memo.get(key)
+            if iv is not None:
+                return iv
+        iv = from_point_err(kernels.pi_within(w + 2),
+                            power_of_two(-(w + 2)), w)
+        if memo is not None:
+            memo[key] = iv
+        return iv
     if isinstance(e, lang.Neg):
         return ineg(_eval(e.arg, w))
     if isinstance(e, lang.BinOp):
@@ -189,14 +216,20 @@ def _eval(e, w: int) -> Interval:
             return idiv(a, b, w)
         raise AssertionError(f"unknown operator {e.op!r}")
     if isinstance(e, lang.Call):
+        memo = _pass.memo
+        if memo is not None:
+            key = (_pass.ids[id(e)], w)
+            iv = memo.get(key)
+            if iv is not None:
+                return iv
         # tan is the quotient of sine and cosine enclosures taken from one
         # enclosure of its argument, four bits finer
         a = _eval(e.arg, w + 4 if e.fn == "tan" else w)
+        r = power_of_two(-(w + 2))
         if e.fn == "exp":
-            return Interval(
-                round_floor(_exp_point(a.lo, w + 2) - r, w),
-                round_ceil(_exp_point(a.hi, w + 2) + r, w))
-        if e.fn == "ln":
+            iv = Interval(round_floor(_exp_point(a.lo, w + 2) - r, w),
+                          round_ceil(_exp_point(a.hi, w + 2) + r, w))
+        elif e.fn == "ln":
             if a.strictly_negative():
                 raise DomainViolation(
                     e.arg.span, a,
@@ -204,19 +237,22 @@ def _eval(e, w: int) -> Interval:
             if not a.strictly_positive():
                 raise DomainUndetermined(
                     w, "ln argument interval does not exclude 0")
-            return Interval(
-                round_floor(_ln_point(a.lo, w + 2) - r, w),
-                round_ceil(_ln_point(a.hi, w + 2) + r, w))
-        if e.fn in ("sin", "cos"):
-            return _sincos_enclosure(a, e.fn == "sin", w)
-        if e.fn == "tan":
+            iv = Interval(round_floor(_ln_point(a.lo, w + 2) - r, w),
+                          round_ceil(_ln_point(a.hi, w + 2) + r, w))
+        elif e.fn in ("sin", "cos"):
+            iv = _sincos_enclosure(a, e.fn == "sin", w)
+        elif e.fn == "tan":
             si = _sincos_enclosure(a, True, w + 4)
             co = _sincos_enclosure(a, False, w + 4)
             if co.contains_zero():
                 raise DomainUndetermined(
                     w, "cos enclosure for tan does not exclude 0")
-            return idiv(si, co, w)
-        raise AssertionError(f"unknown function {e.fn!r}")
+            iv = idiv(si, co, w)
+        else:
+            raise AssertionError(f"unknown function {e.fn!r}")
+        if memo is not None:
+            memo[key] = iv
+        return iv
     if isinstance(e, lang.Query):
         raise TypeError("cannot evaluate a comparison query as a value")
     raise TypeError(f"not an expression node: {e!r}")
@@ -229,28 +265,42 @@ class IntervalResult:
     requested_precision: int
 
 
-def eval_interval(e, k: int) -> IntervalResult:
+def eval_interval(e, k: int, sharing=None) -> IntervalResult:
     """Enclosure of the expression, refined until its width is at most
     2**(1-k) or the internal retry schedule runs out.
 
     An unconverged result is still a sound enclosure; it is only wider
     than requested.  DomainUndetermined propagates if a domain sign
-    condition stays undecided at every retry precision.
+    condition stays undecided at every retry precision.  ``sharing``
+    is a lang.Sharing of a tree that contains e, so that a caller that
+    evaluates one query many times computes its structure ids once; by
+    default it is built here.  When the tree repeats a subterm, each
+    pass memoizes the enclosures of its calls and pi by those ids (see
+    the module docstring).
     """
+    from . import lang
+
     if not isinstance(k, int) or k < 0:
         raise ValueError("precision must be a nonnegative integer")
+    if sharing is None:
+        sharing = lang.Sharing(e)
     target = power_of_two(1 - k)
     last = None
     failure = None
-    for w in (k + 12, 2 * k + 24, 4 * k + 48):
-        try:
-            iv = _eval(e, w)
-        except DomainUndetermined as exc:
-            failure = exc
-            continue
-        if iv.width() <= target:
-            return IntervalResult(iv, True, k)
-        last = iv
+    _pass.ids = sharing.ids
+    try:
+        for w in (k + 12, 2 * k + 24, 4 * k + 48):
+            _pass.memo = {} if sharing.repeats else None
+            try:
+                iv = _eval(e, w)
+            except DomainUndetermined as exc:
+                failure = exc
+                continue
+            if iv.width() <= target:
+                return IntervalResult(iv, True, k)
+            last = iv
+    finally:
+        _pass.memo = _pass.ids = None
     if last is not None:
         return IntervalResult(last, False, k)
     raise DomainUndetermined(k) from failure
@@ -282,11 +332,12 @@ def conformance_check(e, k: int, budget=None) -> ConformanceReport:
     """
     from . import lang
 
-    c = lang.elaborate(e, budget)
+    sharing = lang.Sharing(e)
+    c = lang.elaborate(e, budget, sharing=sharing)
     q = c.approx(k)
     rad = power_of_two(-k)
     approx_encl = Interval(q - rad, q + rad)
-    res = eval_interval(e, k)
+    res = eval_interval(e, k, sharing)
     return ConformanceReport(
         passed=approx_encl.intersects(res.interval),
         precision=k,

@@ -17,6 +17,18 @@ apartness certificate for its operand, each tan one for the cosine of
 its argument.  A failed search within the (configurable) budget raises
 DomainUnverifiable; a certificate with the wrong sign under ln raises
 DomainViolation.
+
+Elaboration builds one node per distinct subterm.  A Sharing gives
+every syntax node a structure id, equal for two occurrences of the same
+subterm whatever their spans, and memoizes the elaborated node by it,
+so sin(x) * sin(x) reads one sin(x) node and a repeated divisor is
+certified once.  A Sharing lives for one elaborate() call, or for one
+prove() call whose two sides share it; nothing outlives the call, so
+approx(x, k) still depends on k alone.
+
+An expression may nest at most DEPTH_LIMIT levels deep (see
+docs/grammar.ebnf); deeper input is a ParseError, not a RecursionError
+in one of the recursive walks.
 """
 
 from __future__ import annotations
@@ -88,6 +100,19 @@ class Query:
 Expr = IntLit | DecLit | PiConst | Neg | BinOp | Call
 
 FUNCTIONS = ("exp", "sin", "cos", "tan", "ln")
+
+# Bound on an expression's nesting, counted two ways (docs/grammar.ebnf):
+# the groups and function calls open around a token, and a node's
+# height, the number of nodes from it down to its deepest leaf.  The
+# parser refuses a token that takes either past the limit.  format_expr
+# opens at most one group per node, so a tree within the limit prints
+# as text within it.  Every recursive walk of a tree then stays inside
+# Python's default limit of 1000 frames.  The parser spends four frames
+# per group; Sharing, _elab, the interval evaluation, format_expr and
+# same_tree one per node; and CReal._raw up to about seven per node of
+# a nested tan, the deepest walk, which passes at 140 levels on both
+# backends and fails at 150.
+DEPTH_LIMIT = 128
 
 
 def same_tree(a, b) -> bool:
@@ -185,6 +210,7 @@ class _Parser:
         self.src = src
         self.tokens = _lex(src)
         self.pos = 0
+        self.depth = 0  # groups and calls now open
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -201,11 +227,11 @@ class _Parser:
         raise ParseError(t.start, f"expected {op!r}")
 
     def parse_query_or_expr(self):
-        lhs = self.parse_expr()
+        lhs, _ = self.parse_expr()
         t = self.peek()
         if t.kind == "rel":
             self.next()
-            rhs = self.parse_expr()
+            rhs, _ = self.parse_expr()
             self._expect_eof()
             span = (lhs.span[0], rhs.span[1])
             return Query(lhs, t.text, rhs, span)
@@ -224,56 +250,87 @@ class _Parser:
         if t.kind != "eof":
             raise ParseError(t.start, f"unexpected {t.text!r}")
 
+    # Each parse_* method returns (node, height).
+
+    def _open(self, t: _Token) -> None:
+        """Open one nesting level at token t."""
+        self.depth += 1
+        if self.depth > DEPTH_LIMIT:
+            raise _too_deep(t)
+
+    @staticmethod
+    def _above(height: int, t: _Token) -> int:
+        """Height of the node that token t builds over children at most
+        height high."""
+        if height >= DEPTH_LIMIT:
+            raise _too_deep(t)
+        return height + 1
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, h = self.parse_term()
         while True:
             t = self.peek()
             if t.kind == "op" and t.text in "+-":
                 self.next()
-                rhs = self.parse_term()
-                span = (node.span[0], rhs.span[1])
-                node = BinOp(t.text, node, rhs, span)
+                rhs, hr = self.parse_term()
+                h = self._above(max(h, hr), t)
+                node = BinOp(t.text, node, rhs, (node.span[0], rhs.span[1]))
             else:
-                return node
+                return node, h
 
     def parse_term(self):
-        node = self.parse_factor()
+        node, h = self.parse_factor()
         while True:
             t = self.peek()
             if t.kind == "op" and t.text in "*/":
                 self.next()
-                rhs = self.parse_factor()
-                span = (node.span[0], rhs.span[1])
-                node = BinOp(t.text, node, rhs, span)
+                rhs, hr = self.parse_factor()
+                h = self._above(max(h, hr), t)
+                node = BinOp(t.text, node, rhs, (node.span[0], rhs.span[1]))
             else:
-                return node
+                return node, h
 
     def parse_factor(self):
+        # a run of unary minuses is read by a loop, not by recursion
+        minuses = []
         t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            arg = self.parse_factor()
-            return Neg(arg, (t.start, arg.span[1]))
-        return self.parse_atom()
+        while t.kind == "op" and t.text == "-":
+            minuses.append(self.next())
+            t = self.peek()
+        node, h = self.parse_atom()
+        for t in reversed(minuses):
+            h = self._above(h, t)
+            node = Neg(node, (t.start, node.span[1]))
+        return node, h
 
     def parse_atom(self):
         t = self.next()
         if t.kind == "num":
-            return _num_node(t)
+            return _num_node(t), 1
         if t.kind == "name":
             if t.text == "pi":
-                return PiConst((t.start, t.end))
+                return PiConst((t.start, t.end)), 1
             if t.text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                self._open(t)
+                arg, h = self.parse_expr()
                 close = self.expect_op(")")
-                return Call(t.text, arg, (t.start, close.end))
+                self.depth -= 1
+                return (Call(t.text, arg, (t.start, close.end)),
+                        self._above(h, t))
             raise ParseError(t.start, f"unknown name {t.text!r}")
         if t.kind == "op" and t.text == "(":
+            self._open(t)
             node = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError(t.start, "expected a number, name or '('")
+
+
+def _too_deep(t: _Token) -> ParseError:
+    return ParseError(t.start, f"expression nests deeper than "
+                               f"{DEPTH_LIMIT} levels")
 
 
 def _num_node(t: _Token):
@@ -390,19 +447,76 @@ class DomainBudget:
             raise ValueError("max_precision must be >= start_precision")
 
 
-def elaborate(node, budget: DomainBudget | None = None) -> creal.CReal:
+_DEFAULT_BUDGET = DomainBudget()
+
+
+class Sharing:
+    """The repeated subterms of one expression or query.
+
+    Every syntax node under the root gets a structure id, a small int
+    interned from its kind, its operator, function or literal value, and
+    its children's ids; spans are ignored, so two occurrences of one
+    subterm get one id.  ``ids`` maps id(node) to it and holds while the
+    tree is alive.  ``nodes`` is the elaboration memo, one computable
+    real per structure id, filled under a single domain budget.
+    ``repeats`` tells whether some structure occurs twice, which is when
+    the interval backend memoizes enclosures (intervals.eval_interval).
+    """
+
+    __slots__ = ("ids", "nodes", "repeats")
+
+    def __init__(self, root):
+        table = {}
+        self.ids = {}
+        self.nodes = {}
+        _intern(root, table, self.ids)
+        self.repeats = len(table) < len(self.ids)
+
+
+def _intern(n, table: dict, ids: dict) -> int:
+    # a key leads with a tag that no two kinds share: the operator, the
+    # function name, the relation, or "neg", "int", "dec", "pi"
+    t = type(n)
+    if t is BinOp:
+        key = (n.op, _intern(n.lhs, table, ids), _intern(n.rhs, table, ids))
+    elif t is Call:
+        key = (n.fn, _intern(n.arg, table, ids))
+    elif t is IntLit:
+        key = ("int", n.value)
+    elif t is DecLit:
+        key = ("dec", n.num, n.den)
+    elif t is PiConst:
+        key = "pi"
+    elif t is Neg:
+        key = ("neg", _intern(n.arg, table, ids))
+    elif t is Query:
+        key = (n.relation, _intern(n.lhs, table, ids),
+               _intern(n.rhs, table, ids))
+    else:
+        raise TypeError(f"not a syntax node: {n!r}")
+    sid = ids[id(n)] = table.setdefault(key, len(table))
+    return sid
+
+
+def elaborate(node, budget: DomainBudget | None = None, *,
+              sharing: Sharing | None = None) -> creal.CReal:
     """Turn an expression into a computable real.
 
     Discharges the domain side conditions along the way; raises
     DomainUnverifiable when an apartness search exhausts the budget and
-    DomainViolation when a condition provably fails.
+    DomainViolation when a condition provably fails.  Each distinct
+    subterm becomes one node.  ``sharing``, built from a tree that
+    contains node (prove() passes the query's), carries the memo across
+    calls under the same budget; by default it lasts for this call.
     """
     if isinstance(node, Query):
         raise TypeError("elaborate expects an expression, not a query; "
                         "use prove() for queries")
     if budget is None:
-        budget = DomainBudget()
-    return _elab(node, budget)
+        budget = _DEFAULT_BUDGET
+    if sharing is None:
+        sharing = Sharing(node)
+    return _elab(node, budget, sharing.ids, sharing.nodes)
 
 
 def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
@@ -417,38 +531,45 @@ def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
     return cert
 
 
-def _elab(node, budget: DomainBudget) -> creal.CReal:
+def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
+    # the first occurrence of a structure elaborates it, so a domain
+    # error names the first offending subterm in reading order
+    sid = ids[id(node)]
+    x = nodes.get(sid)
+    if x is not None:
+        return x
     if isinstance(node, IntLit):
-        return creal.const(node.value)
-    if isinstance(node, DecLit):
-        return creal.const(node.num, node.den)
-    if isinstance(node, PiConst):
-        return functions.pi()
-    if isinstance(node, Neg):
-        return -_elab(node.arg, budget)
-    if isinstance(node, BinOp):
-        lhs = _elab(node.lhs, budget)
-        rhs = _elab(node.rhs, budget)
+        x = creal.const(node.value)
+    elif isinstance(node, DecLit):
+        x = creal.const(node.num, node.den)
+    elif isinstance(node, PiConst):
+        x = functions.pi()
+    elif isinstance(node, Neg):
+        x = -_elab(node.arg, budget, ids, nodes)
+    elif isinstance(node, BinOp):
+        lhs = _elab(node.lhs, budget, ids, nodes)
+        rhs = _elab(node.rhs, budget, ids, nodes)
         if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
+            x = lhs + rhs
+        elif node.op == "-":
+            x = lhs - rhs
+        elif node.op == "*":
+            x = lhs * rhs
+        elif node.op == "/":
             cert = _find_apart_or_raise(rhs, node.rhs.span, budget,
                                         "the divisor")
-            return creal.div(lhs, rhs, cert)
-        raise AssertionError(f"unknown operator {node.op!r}")
-    if isinstance(node, Call):
-        arg = _elab(node.arg, budget)
+            x = creal.div(lhs, rhs, cert)
+        else:
+            raise AssertionError(f"unknown operator {node.op!r}")
+    elif isinstance(node, Call):
+        arg = _elab(node.arg, budget, ids, nodes)
         if node.fn == "exp":
-            return functions.exp(arg)
-        if node.fn == "sin":
-            return functions.sin(arg)
-        if node.fn == "cos":
-            return functions.cos(arg)
-        if node.fn == "ln":
+            x = functions.exp(arg)
+        elif node.fn == "sin":
+            x = functions.sin(arg)
+        elif node.fn == "cos":
+            x = functions.cos(arg)
+        elif node.fn == "ln":
             cert = _find_apart_or_raise(arg, node.arg.span, budget,
                                         "the ln argument")
             if cert.sign < 0:
@@ -456,10 +577,16 @@ def _elab(node, budget: DomainBudget) -> creal.CReal:
                     node.arg.span, cert,
                     f"ln argument is provably negative (witnessed at "
                     f"precision 2^-{cert.witness_precision})")
-            return functions.ln(arg, cert)
-        if node.fn == "tan":
-            cert = _find_apart_or_raise(functions.cos(arg), node.span,
-                                        budget, "cos of the tan argument")
-            return functions.tan(arg, cert)
-        raise AssertionError(f"unknown function {node.fn!r}")
-    raise TypeError(f"not an expression node: {node!r}")
+            x = functions.ln(arg, cert)
+        elif node.fn == "tan":
+            # the quotient reads the cos node the search certified
+            co = functions.cos(arg)
+            cert = _find_apart_or_raise(co, node.span, budget,
+                                        "cos of the tan argument")
+            x = functions.tan(arg, cert, co)
+        else:
+            raise AssertionError(f"unknown function {node.fn!r}")
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    nodes[sid] = x
+    return x

@@ -73,28 +73,31 @@ def prove(query, *, start_precision: int = 1,
         raise TypeError("prove expects a comparison query")
     backend = normalize_backend(backend)
 
-    lhs_c = lang.elaborate(query.lhs, domain_budget)
-    rhs_c = lang.elaborate(query.rhs, domain_budget)
+    # one structure walk per query: both sides share one elaboration
+    # memo, and the interval backend keys its memo by the same ids
+    sharing = lang.Sharing(query)
+    lhs_c = lang.elaborate(query.lhs, domain_budget, sharing=sharing)
+    rhs_c = lang.elaborate(query.rhs, domain_budget, sharing=sharing)
 
     if backend == "approx":
         return cmp_semidecide(lhs_c, rhs_c, start_precision, max_precision,
                               query.relation)
     if backend == "interval":
         return _prove_interval(query.lhs, query.rhs, query.relation,
-                               start_precision, max_precision)
+                               start_precision, max_precision, sharing)
     oa = cmp_semidecide(lhs_c, rhs_c, start_precision, max_precision,
                         query.relation)
     oi = _prove_interval(query.lhs, query.rhs, query.relation,
-                         start_precision, max_precision)
+                         start_precision, max_precision, sharing)
     return _merge_outcomes(oa, oi, query)
 
 
-def _prove_interval(lhs_e, rhs_e, relation: str,
-                    start_k: int, max_k: int) -> ProofOutcome:
+def _prove_interval(lhs_e, rhs_e, relation: str, start_k: int, max_k: int,
+                    sharing: lang.Sharing) -> ProofOutcome:
     def enclose(k):
         try:
-            return (intervals.eval_interval(lhs_e, k).interval,
-                    intervals.eval_interval(rhs_e, k).interval)
+            return (intervals.eval_interval(lhs_e, k, sharing).interval,
+                    intervals.eval_interval(rhs_e, k, sharing).interval)
         except DomainUndetermined:
             # a sign condition is still ambiguous at this precision;
             # deepen and retry

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from certreal import ConformanceError, cli, prover
+from certreal import ConformanceError, cli, lang, prover
 from certreal.cli import main
 from certreal.dyadic import decimal_to_int
 
@@ -132,14 +132,40 @@ def test_usage_errors_exit_3():
     assert exc.value.code == 3
 
 
-def test_crash_exits_4_not_refuted(capsys):
-    # deep nesting overflows the recursive parser; exit 1 would read as
-    # "refuted", so an unexpected exception gets its own code
+def test_crash_exits_4_not_refuted(capsys, monkeypatch):
+    # with the nesting limit lifted, deep nesting overflows the recursive
+    # parser; exit 1 would read as "refuted", so an unexpected exception
+    # gets its own code
+    monkeypatch.setattr(lang, "DEPTH_LIMIT", 10 ** 6)
     query = "(" * 400 + "1" + ")" * 400 + " < 2"
     assert main(["prove", query]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error: RecursionError")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("query", [
+    "(" * 250 + "1" + ")" * 250 + " < 2",
+    " * ".join(["1"] * 400) + " < 2",
+    " + ".join(["1"] * 1500) + " < 2",
+    "-" * 2000 + "1 < 2",
+], ids=["groups", "product", "sum", "minuses"])
+def test_deep_expressions_exit_3(capsys, query):
+    assert main(["prove", query, "--backend", "both"]) == 3
+    err = capsys.readouterr().err
+    assert f"nests deeper than {lang.DEPTH_LIMIT} levels" in err
+
+
+def test_expressions_at_the_depth_limit_are_proved(capsys):
+    # groups are the parser's deepest walk, nested calls that of the
+    # approximation backend (a nested tan, deeper still, takes a minute)
+    n = lang.DEPTH_LIMIT
+    groups = "(" * n + "0.1" + ")" * n
+    calls = "sin(" * (n - 1) + "0.5" + ")" * (n - 1)
+    query = f"{groups} < {calls}"
+    assert main(["prove", query, "--backend", "both", "--max-prec",
+                 "64"]) == 0
+    assert capsys.readouterr().out.startswith("Proved")
 
 
 def test_conformance_error_exits_4(capsys, monkeypatch):

@@ -471,9 +471,12 @@ class _Worst(creal.CReal):
 
 
 # magnitudes just under a power of two, where the operand bounds in _Mul
-# are tightest, and odd mantissas with long expansions
+# are tightest, and odd mantissas with long expansions.  The last is
+# both: its square lies just off every grid these tests round to, so a
+# square read short lets the rounding carry its error past 2**-j
 _WORST_VALUES = (dyadic(15), dyadic(-15), dyadic(15, -4), dyadic(7, 5),
-                 dyadic(3), dyadic(-341, -10), dyadic(0x5a3c96f1d3, -37))
+                 dyadic(3), dyadic(-341, -10), dyadic(0x5a3c96f1d3, -37),
+                 dyadic((15 << 60) + 1, -60))
 
 
 def _worst_leaves():
@@ -495,6 +498,10 @@ def test_ring_op_budgets_under_worst_leaves():
         for s in (-3, 1, 4):
             _assert_raw_honest(scale2(x, s), va * Fraction(2) ** s,
                                range(48))
+    # a product of one node with itself reads that node once (_Mul)
+    for a, sa in _worst_leaves():
+        x = _Worst(a, sa)
+        _assert_raw_honest(x * x, a.as_fraction() ** 2, range(48))
 
 
 def test_series_budget_under_worst_terms():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from certreal import functions, lang
+from certreal import creal, functions, lang
 from certreal.creal import ApartnessCertificate, const, find_apart
 from certreal.errors import InvalidCertificate, ResourceExhausted
 from certreal.functions import atan_rat, cos, exp, ln, pi, sin, tan
@@ -88,6 +88,28 @@ def test_tan_at_one():
     slo, shi = oracles.sin_bounds(Fraction(1), 80)
     clo, chi = oracles.cos_bounds(Fraction(1), 80)
     _check(t, 60, slo / chi, shi / clo)
+
+
+def test_tan_reads_the_certified_cos_node(monkeypatch):
+    certified = []
+    honest = creal.find_apart
+
+    def recording(x, *args):
+        certified.append(x)
+        return honest(x, *args)
+
+    monkeypatch.setattr(creal, "find_apart", recording)
+    t = lang.elaborate(lang.parse_expression("tan(0.5)"))
+    assert len(certified) == 1
+    assert isinstance(t.y, creal._Recip) and t.y.x is certified[0]
+    one = const(1)
+    cert = find_apart(cos(one))
+    assert tan(one, cert, cos(one)).approx(40) == tan(one, cert).approx(40)
+    # a cos node of another argument node, or a sin node, is refused
+    with pytest.raises(ValueError):
+        tan(one, cert, cos(const(1)))
+    with pytest.raises(ValueError):
+        tan(one, cert, sin(one))
 
 
 # Above about 300 bits for exp and 1300 for sin and cos the reductions

@@ -291,3 +291,40 @@ def test_tan_evaluates_its_argument_once(monkeypatch):
         counts.append(calls)
     steps = {b - a for a, b in zip(counts, counts[1:])}
     assert steps == {3}, counts
+
+
+IDENTITY = "sin(0.62) * sin(0.62) + cos(0.62) * cos(0.62)"
+
+
+def test_repeated_calls_evaluate_once_per_pass(monkeypatch):
+    honest = intervals._sincos_point
+    calls = Counter()
+
+    def counting(d, t, want_sin):
+        calls[t, want_sin] += 1
+        return honest(d, t, want_sin)
+
+    monkeypatch.setattr(intervals, "_sincos_point", counting)
+    for k in (20, 300):
+        calls.clear()
+        assert eval_interval(lang.parse_expression(IDENTITY), k).converged
+        # one working precision per pass, and one sin and one cos at each
+        passes = {t for t, _ in calls}
+        assert set(calls) == {(t, s) for t in passes for s in (True, False)}
+        assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("text", [
+    IDENTITY,
+    "exp(0.5) * exp(0.5) - exp(2 * 0.5)",
+    "pi * pi - tan(pi / 5) * tan(pi / 5) + ln(pi)",
+    "1 / (exp(0.3) - 1) + 1 / (exp(0.3) - 1)",
+])
+def test_pass_memo_moves_no_enclosure(text):
+    e = lang.parse_expression(text)
+    on = lang.Sharing(e)
+    off = lang.Sharing(e)
+    off.repeats = False
+    assert on.repeats
+    for k in (0, 7, 64, 500):
+        assert eval_interval(e, k, on) == eval_interval(e, k, off)

@@ -1,17 +1,20 @@
 """Parsing, printing, spans, and elaboration with domain discharge."""
 
+import random
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from certreal import lang
+from certreal import creal, lang, prover
 from certreal.errors import (DomainUnverifiable, DomainViolation, ParseError,
                              RelationUnsupported)
-from certreal.lang import (BinOp, Call, DecLit, DomainBudget, IntLit, Neg,
-                           PiConst, Query, elaborate, format_expr, parse,
-                           parse_expression, parse_query, same_tree)
+from certreal.lang import (DEPTH_LIMIT, BinOp, Call, DecLit, DomainBudget,
+                           IntLit, Neg, PiConst, Query, Sharing, elaborate,
+                           format_expr, parse, parse_expression, parse_query,
+                           same_tree)
 
 S = (0, 0)  # spans are ignored by same_tree
 
@@ -210,3 +213,150 @@ def test_domain_budget_validation():
         DomainBudget(start_precision=0)
     with pytest.raises(ValueError):
         DomainBudget(start_precision=9, max_precision=3)
+
+
+# -- nesting limit ----------------------------------------------------------
+
+L = DEPTH_LIMIT
+
+
+@pytest.mark.parametrize("text", [
+    "(" * L + "1" + ")" * L,                  # groups
+    "-" * (L - 1) + "1",                      # height L
+    "+".join(["1"] * L),                      # a chain of height L
+    "sin(" * (L - 1) + "1" + ")" * (L - 1),   # calls
+])
+def test_nesting_at_the_limit_parses(text):
+    e = parse_expression(text)
+    assert same_tree(parse_expression(format_expr(e)), e)
+    assert format_expr(parse(f"{text} < {text}")).count("<") == 1
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(" * (L + 1) + "1" + ")" * (L + 1), L),  # the group past the limit
+    ("-" * L + "1", 0),                        # the minus on top
+    ("+".join(["1"] * (L + 1)), 2 * L - 1),    # the last plus
+    ("2 * " + "exp(" * L + "1" + ")" * L, 4),  # the outermost exp
+])
+def test_nesting_past_the_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text)
+    assert exc.value.position == position
+    assert f"deeper than {L} levels" in str(exc.value)
+
+
+# -- one node per distinct subterm ------------------------------------------
+
+IDENTITY = "sin(0.62) * sin(0.62) + cos(0.62) * cos(0.62)"
+
+
+def test_structure_ids_ignore_spans():
+    q = parse_query("exp( 1.5 )*2 < exp(1.50) * 2")
+    ids = Sharing(q).ids
+    assert ids[id(q.lhs)] == ids[id(q.rhs)]
+    assert ids[id(q.lhs.lhs)] == ids[id(q.rhs.lhs)]
+    assert ids[id(q.lhs.lhs)] != ids[id(q.lhs)]
+    assert ids[id(q.lhs.rhs)] == ids[id(q.rhs.rhs)]
+    assert Sharing(q).repeats
+    assert not Sharing(parse_query("exp(1) < 2")).repeats
+
+
+def test_elaboration_shares_repeated_subterms():
+    x = elaborate(parse_expression(IDENTITY))
+    sin_sq, cos_sq = x.x, x.y
+    assert sin_sq.x is sin_sq.y
+    assert cos_sq.x is cos_sq.y
+    assert sin_sq.x.x is cos_sq.x.x  # one 0.62
+
+
+def _count_find_apart(monkeypatch):
+    calls = []
+    honest = creal.find_apart
+
+    def counting(x, *args):
+        calls.append(x)
+        return honest(x, *args)
+
+    monkeypatch.setattr(creal, "find_apart", counting)
+    return calls
+
+
+def test_repeated_divisor_is_certified_once(monkeypatch):
+    calls = _count_find_apart(monkeypatch)
+    elaborate(parse_expression("1/(exp(0.5) - 1) + 1/(exp(0.5) - 1)"))
+    assert len(calls) == 1
+    # prove shares one memo between the two sides of a query
+    calls.clear()
+    out = prover.prove("1/(exp(0.5) - 1) < 1/(exp(0.5) - 1) + 1")
+    assert isinstance(out, prover.Proved)
+    assert len(calls) == 1
+
+
+def _dag_nodes(x, seen):
+    if id(x) in seen:
+        return seen
+    seen[id(x)] = x
+    for cls in type(x).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            child = getattr(x, slot, None)
+            if isinstance(child, creal.CReal):
+                _dag_nodes(child, seen)
+    return seen
+
+
+def test_elaborations_share_no_node():
+    # no pi or ln: those are process-wide nodes by design
+    text = "1/(exp(0.5) - 1) + " + IDENTITY + " * tan(0.2)"
+    a = _dag_nodes(elaborate(parse_expression(text)), {})
+    b = _dag_nodes(elaborate(parse_expression(text)), {})
+    assert len(a) == len(b) > 10
+    assert not a.keys() & b.keys()
+
+
+_SHARED_TEXT = (IDENTITY + " - exp(0.3) * exp(0.3) / (1 + exp(0.3) * exp(0.3))"
+                " + tan(0.4) * tan(0.4)")
+
+
+def _bits(q):
+    return q.mantissa, q.exponent
+
+
+def _cold(ks):
+    # each precision from a fresh elaboration, so no memo is warm
+    return [_bits(elaborate(parse_expression(_SHARED_TEXT)).approx(k))
+            for k in ks]
+
+
+def test_threads_approximate_a_shared_dag_identically():
+    rng = random.Random("shared-dag-threads")
+    ks = [rng.randint(20, 1500) for _ in range(6)]
+    cold = _cold(ks)
+    x = elaborate(parse_expression(_SHARED_TEXT))
+    barrier = threading.Barrier(3)
+    results = [None] * 3
+
+    def run(i):
+        barrier.wait()
+        # each thread walks the precisions from a different start
+        order = ks[2 * i:] + ks[:2 * i]
+        got = {k: _bits(x.approx(k)) for k in order}
+        results[i] = [got[k] for k in ks]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [cold] * 3
+
+
+def test_shared_dag_bits_do_not_depend_on_history():
+    rng = random.Random("shared-dag-history")
+    ks = [rng.randint(20, 1500) for _ in range(4)]
+    cold = _cold(ks)
+    x = elaborate(parse_expression(_SHARED_TEXT))
+    for _ in range(12):
+        k = rng.randint(0, 2000)
+        if k not in ks:
+            x.approx(k)
+    assert [_bits(x.approx(k)) for k in ks] == cold
