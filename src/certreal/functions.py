@@ -275,24 +275,14 @@ def cos(x) -> CReal:
     return _SinCos(_cr._coerce(x), want_sin=False)
 
 
-def tan(x, cert: ApartnessCertificate,
-        cos_x: CReal | None = None) -> CReal:
+def tan(x, cert: ApartnessCertificate) -> CReal:
     """tan(x) = sin(x) / cos(x); cert must certify cos(x) apart from 0.
 
-    ``cos_x`` is the cos(x) node the certificate was found for, as
-    elaboration passes it: the quotient then reads that node, whose
-    memo the search has already filled.  Without it, tan builds its own
-    cos(x) node.  Either way the certificate is revalidated against the
-    node the quotient reads, which is sound because approximations are
-    deterministic.
+    The certificate is revalidated against a fresh cos(x) node, which
+    is sound because approximations are deterministic.
     """
     xc = _cr._coerce(x)
-    if cos_x is None:
-        cos_x = cos(xc)
-    elif not (isinstance(cos_x, _SinCos) and not cos_x.want_sin
-              and cos_x.x is xc):
-        raise ValueError("cos_x must be a cos node of the tan argument")
-    return _cr._Mul(sin(xc), _cr._Recip(cos_x, cert))
+    return _cr._Mul(sin(xc), _cr._Recip(cos(xc), cert))
 
 
 def ln(x, cert: ApartnessCertificate) -> CReal:

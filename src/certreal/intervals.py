@@ -278,11 +278,11 @@ def eval_interval(e, k: int, sharing=None) -> IntervalResult:
     pass memoizes the enclosures of its calls and pi by those ids (see
     the module docstring).
     """
-    from . import lang
-
     if not isinstance(k, int) or k < 0:
         raise ValueError("precision must be a nonnegative integer")
     if sharing is None:
+        from . import lang
+
         sharing = lang.Sharing(e)
     target = power_of_two(1 - k)
     last = None

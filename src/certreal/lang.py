@@ -103,16 +103,19 @@ FUNCTIONS = ("exp", "sin", "cos", "tan", "ln")
 
 # Bound on an expression's nesting, counted two ways (docs/grammar.ebnf):
 # the groups and function calls open around a token, and a node's
-# height, the number of nodes from it down to its deepest leaf.  The
-# parser refuses a token that takes either past the limit.  format_expr
-# opens at most one group per node, so a tree within the limit prints
-# as text within it.  Every recursive walk of a tree then stays inside
-# Python's default limit of 1000 frames.  The parser spends four frames
-# per group; Sharing, _elab, the interval evaluation, format_expr and
-# same_tree one per node; and CReal._raw up to about seven per node of
-# a nested tan, the deepest walk, which passes at 140 levels on both
-# backends and fails at 150.
-DEPTH_LIMIT = 128
+# height, the number of nodes from it down to its deepest leaf, where a
+# tan counts TAN_HEIGHT.  The parser refuses a token that takes either
+# past the limit.  format_expr opens at most one group per node, so a
+# tree within the limit prints as text within it.  Every recursive walk
+# of a tree then stays inside Python's default limit of 1000 frames
+# with more than 150 to spare for the caller.  The parser spends four
+# frames per group; Sharing, _elab, the interval evaluation, format_expr
+# and same_tree one per node; and CReal._raw at most four per unit of
+# height, as under 1/(1/(...)).  A tan is a quotient of sine and cosine
+# nodes, which puts about seven frames on that walk, so it counts two
+# units; without the weight, nested tan overflows at 150 levels.
+DEPTH_LIMIT = 200
+TAN_HEIGHT = 2
 
 
 def same_tree(a, b) -> bool:
@@ -316,6 +319,8 @@ class _Parser:
                 arg, h = self.parse_expr()
                 close = self.expect_op(")")
                 self.depth -= 1
+                if t.text == "tan":
+                    h += TAN_HEIGHT - 1
                 return (Call(t.text, arg, (t.start, close.end)),
                         self._above(h, t))
             raise ParseError(t.start, f"unknown name {t.text!r}")
@@ -447,9 +452,6 @@ class DomainBudget:
             raise ValueError("max_precision must be >= start_precision")
 
 
-_DEFAULT_BUDGET = DomainBudget()
-
-
 class Sharing:
     """The repeated subterms of one expression or query.
 
@@ -513,7 +515,7 @@ def elaborate(node, budget: DomainBudget | None = None, *,
         raise TypeError("elaborate expects an expression, not a query; "
                         "use prove() for queries")
     if budget is None:
-        budget = _DEFAULT_BUDGET
+        budget = DomainBudget()
     if sharing is None:
         sharing = Sharing(node)
     return _elab(node, budget, sharing.ids, sharing.nodes)
@@ -579,11 +581,12 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
                     f"precision 2^-{cert.witness_precision})")
             x = functions.ln(arg, cert)
         elif node.fn == "tan":
-            # the quotient reads the cos node the search certified
+            # tan(x) = sin(x) / cos(x), dividing by the cos node the
+            # search certified
             co = functions.cos(arg)
             cert = _find_apart_or_raise(co, node.span, budget,
                                         "cos of the tan argument")
-            x = functions.tan(arg, cert, co)
+            x = creal.div(functions.sin(arg), co, cert)
         else:
             raise AssertionError(f"unknown function {node.fn!r}")
     else:

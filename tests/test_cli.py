@@ -157,12 +157,12 @@ def test_deep_expressions_exit_3(capsys, query):
 
 
 def test_expressions_at_the_depth_limit_are_proved(capsys):
-    # groups are the parser's deepest walk, nested calls that of the
-    # approximation backend (a nested tan, deeper still, takes a minute)
+    # groups are the parser's deepest walk, right-nested division that
+    # of the approximation backend (four frames per level)
     n = lang.DEPTH_LIMIT
     groups = "(" * n + "0.1" + ")" * n
-    calls = "sin(" * (n - 1) + "0.5" + ")" * (n - 1)
-    query = f"{groups} < {calls}"
+    quotients = "1/(" * (n - 1) + "1" + ")" * (n - 1)
+    query = f"{groups} < {quotients}"
     assert main(["prove", query, "--backend", "both", "--max-prec",
                  "64"]) == 0
     assert capsys.readouterr().out.startswith("Proved")

@@ -102,14 +102,6 @@ def test_tan_reads_the_certified_cos_node(monkeypatch):
     t = lang.elaborate(lang.parse_expression("tan(0.5)"))
     assert len(certified) == 1
     assert isinstance(t.y, creal._Recip) and t.y.x is certified[0]
-    one = const(1)
-    cert = find_apart(cos(one))
-    assert tan(one, cert, cos(one)).approx(40) == tan(one, cert).approx(40)
-    # a cos node of another argument node, or a sin node, is refused
-    with pytest.raises(ValueError):
-        tan(one, cert, cos(const(1)))
-    with pytest.raises(ValueError):
-        tan(one, cert, sin(one))
 
 
 # Above about 300 bits for exp and 1300 for sin and cos the reductions

@@ -11,10 +11,10 @@ import oracles
 from certreal import creal, lang, prover
 from certreal.errors import (DomainUnverifiable, DomainViolation, ParseError,
                              RelationUnsupported)
-from certreal.lang import (DEPTH_LIMIT, BinOp, Call, DecLit, DomainBudget,
-                           IntLit, Neg, PiConst, Query, Sharing, elaborate,
-                           format_expr, parse, parse_expression, parse_query,
-                           same_tree)
+from certreal.lang import (DEPTH_LIMIT, TAN_HEIGHT, BinOp, Call, DecLit,
+                           DomainBudget, IntLit, Neg, PiConst, Query, Sharing,
+                           elaborate, format_expr, parse, parse_expression,
+                           parse_query, same_tree)
 
 S = (0, 0)  # spans are ignored by same_tree
 
@@ -218,6 +218,7 @@ def test_domain_budget_validation():
 # -- nesting limit ----------------------------------------------------------
 
 L = DEPTH_LIMIT
+T = (L - 1) // TAN_HEIGHT  # the most nested tans of height at most L
 
 
 @pytest.mark.parametrize("text", [
@@ -225,6 +226,7 @@ L = DEPTH_LIMIT
     "-" * (L - 1) + "1",                      # height L
     "+".join(["1"] * L),                      # a chain of height L
     "sin(" * (L - 1) + "1" + ")" * (L - 1),   # calls
+    "tan(" * T + "0.1" + ")" * T,             # tan counts TAN_HEIGHT
 ])
 def test_nesting_at_the_limit_parses(text):
     e = parse_expression(text)
@@ -233,10 +235,11 @@ def test_nesting_at_the_limit_parses(text):
 
 
 @pytest.mark.parametrize("text,position", [
-    ("(" * (L + 1) + "1" + ")" * (L + 1), L),  # the group past the limit
-    ("-" * L + "1", 0),                        # the minus on top
-    ("+".join(["1"] * (L + 1)), 2 * L - 1),    # the last plus
-    ("2 * " + "exp(" * L + "1" + ")" * L, 4),  # the outermost exp
+    ("(" * (L + 1) + "1" + ")" * (L + 1), L),         # the group past it
+    ("-" * L + "1", 0),                               # the minus on top
+    ("+".join(["1"] * (L + 1)), 2 * L - 1),           # the last plus
+    ("2 * " + "exp(" * L + "1" + ")" * L, 4),         # the outermost exp
+    ("tan(" * (T + 1) + "0.1" + ")" * (T + 1), 0),    # the outermost tan
 ])
 def test_nesting_past_the_limit_is_a_parse_error(text, position):
     with pytest.raises(ParseError) as exc:
