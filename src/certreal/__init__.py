@@ -26,7 +26,7 @@ from .lang import (DomainBudget, Query, elaborate, format_expr, parse,
                    parse_expression, parse_query, same_tree)
 from .prover import (Counterexample, NoCounterexampleBelowBound, Pi01Pred,
                      outcome_jsonable, parse_predicate, pi01_decide,
-                     pi01_sum, prove, verify_outcome, witness_search)
+                     pi01_sum, prove, verify_outcome)
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,5 @@ __all__ = [
     "exp", "find_apart", "format_expr", "lim", "ln", "outcome_jsonable",
     "parse", "parse_expression", "parse_predicate", "parse_query", "pi",
     "pi01_decide", "pi01_sum", "prove", "recip", "scale2", "series_sum",
-    "sin", "tan", "to_decimal_string", "verify_outcome", "witness_search",
-    "__version__",
+    "sin", "tan", "to_decimal_string", "verify_outcome", "__version__",
 ]

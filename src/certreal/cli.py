@@ -9,10 +9,11 @@ Four subcommands:
 
 Exit codes: 0 proved / counterexample found / success, 1 refuted or
 selftest failure, 2 budget exhausted (no decision, including a
-ResourceExhausted error), 3 usage or evaluation error (including an
+ResourceExhausted error: a working precision or a predicate power over
+its limit), 3 usage or evaluation error (including an
 expression nested past lang.DEPTH_LIMIT), 4 internal error (a
-ConformanceError between the backends, or any other unexpected
-exception; never a verdict).  JSON output (--json) follows docs/cli-schema.json.
+ConformanceError, such as the backends disagreeing, or any other
+unexpected exception; never a verdict).  JSON output (--json) follows docs/cli-schema.json.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pz.add_argument("predicate", help="e.g. 'n < 20 or 3 | n'")
     pz.add_argument("--max-prec", type=int,
                     default=prover.DEFAULT_PI01_MAX_PRECISION, metavar="K")
-    pz.add_argument("--witness-cap", type=int, default=1_000_000,
-                    metavar="N", help="counterexample search limit")
     pz.add_argument("--json", action="store_true")
 
     st = sub.add_parser("selftest", help="cross-validate the backends")
@@ -174,9 +173,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pi01(args) -> int:
-    result = prover.pi01_decide(args.predicate,
-                                max_precision=args.max_prec,
-                                witness_cap=args.witness_cap)
+    result = prover.pi01_decide(args.predicate, max_precision=args.max_prec)
     found = isinstance(result, Counterexample)
     if args.json:
         if found:

@@ -21,10 +21,11 @@ DomainViolation.
 Elaboration builds one node per distinct subterm.  A Sharing gives
 every syntax node a structure id, equal for two occurrences of the same
 subterm whatever their spans, and memoizes the elaborated node by it,
-so sin(x) * sin(x) reads one sin(x) node and a repeated divisor is
-certified once.  A Sharing lives for one elaborate() call, or for one
-prove() call whose two sides share it; nothing outlives the call, so
-approx(x, k) still depends on k alone.
+so sin(x) * sin(x) reads one sin(x) node, a tan(x) divides the query's
+own sin(x) and cos(x) nodes, and a repeated divisor is certified once.
+A Sharing lives for one elaborate() call, or for one prove() call whose
+two sides share it; nothing outlives the call, so approx(x, k) still
+depends on k alone.
 
 An expression may nest at most DEPTH_LIMIT levels deep (see
 docs/grammar.ebnf); deeper input is a ParseError, not a RecursionError
@@ -109,8 +110,8 @@ FUNCTIONS = ("exp", "sin", "cos", "tan", "ln")
 # tree within the limit prints as text within it.  Every recursive walk
 # of a tree then stays inside Python's default limit of 1000 frames
 # with more than 150 to spare for the caller.  The parser spends four
-# frames per group; Sharing, _elab, the interval evaluation, format_expr
-# and same_tree one per node; and CReal._raw at most four per unit of
+# frames per group; Sharing, _elab, the interval evaluation and
+# format_expr one per node; and CReal._raw at most four per unit of
 # height, as under 1/(1/(...)).  A tan is a quotient of sine and cosine
 # nodes, which puts about seven frames on that walk, so it counts two
 # units; without the weight, nested tan overflows at 150 levels.
@@ -120,25 +121,8 @@ TAN_HEIGHT = 2
 
 def same_tree(a, b) -> bool:
     """Structural equality ignoring source spans."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, IntLit):
-        return a.value == b.value
-    if isinstance(a, DecLit):
-        return (a.num, a.den) == (b.num, b.den)
-    if isinstance(a, PiConst):
-        return True
-    if isinstance(a, Neg):
-        return same_tree(a.arg, b.arg)
-    if isinstance(a, BinOp):
-        return a.op == b.op and same_tree(a.lhs, b.lhs) \
-            and same_tree(a.rhs, b.rhs)
-    if isinstance(a, Call):
-        return a.fn == b.fn and same_tree(a.arg, b.arg)
-    if isinstance(a, Query):
-        return a.relation == b.relation and same_tree(a.lhs, b.lhs) \
-            and same_tree(a.rhs, b.rhs)
-    raise TypeError(f"not a syntax node: {a!r}")
+    table, ids = {}, {}
+    return _intern(a, table, ids) == _intern(b, table, ids)
 
 
 # -- lexer ----------------------------------------------------------------
@@ -458,21 +442,22 @@ class Sharing:
     Every syntax node under the root gets a structure id, a small int
     interned from its kind, its operator, function or literal value, and
     its children's ids; spans are ignored, so two occurrences of one
-    subterm get one id.  ``ids`` maps id(node) to it and holds while the
-    tree is alive.  ``nodes`` is the elaboration memo, one computable
-    real per structure id, filled under a single domain budget.
+    subterm get one id.  ``table`` maps each structure's key to its id,
+    and ``ids`` maps id(node) to it and holds while the tree is alive.
+    ``nodes`` is the elaboration memo, one computable real per structure
+    id, filled under a single domain budget.
     ``repeats`` tells whether some structure occurs twice, which is when
     the interval backend memoizes enclosures (intervals.eval_interval).
     """
 
-    __slots__ = ("ids", "nodes", "repeats")
+    __slots__ = ("table", "ids", "nodes", "repeats")
 
     def __init__(self, root):
-        table = {}
+        self.table = {}
         self.ids = {}
         self.nodes = {}
-        _intern(root, table, self.ids)
-        self.repeats = len(table) < len(self.ids)
+        _intern(root, self.table, self.ids)
+        self.repeats = len(self.table) < len(self.ids)
 
 
 def _intern(n, table: dict, ids: dict) -> int:
@@ -518,7 +503,7 @@ def elaborate(node, budget: DomainBudget | None = None, *,
         budget = DomainBudget()
     if sharing is None:
         sharing = Sharing(node)
-    return _elab(node, budget, sharing.ids, sharing.nodes)
+    return _elab(node, budget, sharing)
 
 
 def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
@@ -533,10 +518,11 @@ def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
     return cert
 
 
-def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
+def _elab(node, budget: DomainBudget, sharing: Sharing) -> creal.CReal:
     # the first occurrence of a structure elaborates it, so a domain
     # error names the first offending subterm in reading order
-    sid = ids[id(node)]
+    nodes = sharing.nodes
+    sid = sharing.ids[id(node)]
     x = nodes.get(sid)
     if x is not None:
         return x
@@ -547,10 +533,10 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
     elif isinstance(node, PiConst):
         x = functions.pi()
     elif isinstance(node, Neg):
-        x = -_elab(node.arg, budget, ids, nodes)
+        x = -_elab(node.arg, budget, sharing)
     elif isinstance(node, BinOp):
-        lhs = _elab(node.lhs, budget, ids, nodes)
-        rhs = _elab(node.rhs, budget, ids, nodes)
+        lhs = _elab(node.lhs, budget, sharing)
+        rhs = _elab(node.rhs, budget, sharing)
         if node.op == "+":
             x = lhs + rhs
         elif node.op == "-":
@@ -564,7 +550,7 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
         else:
             raise AssertionError(f"unknown operator {node.op!r}")
     elif isinstance(node, Call):
-        arg = _elab(node.arg, budget, ids, nodes)
+        arg = _elab(node.arg, budget, sharing)
         if node.fn == "exp":
             x = functions.exp(arg)
         elif node.fn == "sin":
@@ -583,13 +569,28 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
         elif node.fn == "tan":
             # tan(x) = sin(x) / cos(x), dividing by the cos node the
             # search certified
-            co = functions.cos(arg)
+            a = sharing.ids[id(node.arg)]
+            co = _shared_call(sharing, "cos", a, functions.cos, arg)
             cert = _find_apart_or_raise(co, node.span, budget,
                                         "cos of the tan argument")
-            x = creal.div(functions.sin(arg), co, cert)
+            si = _shared_call(sharing, "sin", a, functions.sin, arg)
+            x = creal.div(si, co, cert)
         else:
             raise AssertionError(f"unknown function {node.fn!r}")
     else:
         raise TypeError(f"not an expression node: {node!r}")
     nodes[sid] = x
+    return x
+
+
+def _shared_call(sharing: Sharing, fn: str, a: int, make, arg) -> creal.CReal:
+    # the query's own node for the call fn(x), x of structure id a, put
+    # in the memo if not yet elaborated; a fresh node when the query
+    # never spells that call out
+    sid = sharing.table.get((fn, a))
+    if sid is None:
+        return make(arg)
+    x = sharing.nodes.get(sid)
+    if x is None:
+        x = sharing.nodes[sid] = make(arg)
     return x

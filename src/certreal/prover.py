@@ -18,12 +18,12 @@ decidable predicate P over the naturals by encoding them as a real:
 
 S equals 2 exactly when P holds everywhere; the first failure at n*
 pulls S at least 2**-n* below 2.  Semi-deciding S < 2 therefore finds
-failing predicates (and a bounded search then locates the least
-counterexample), while a true universal statement makes S = 2 and the
-comparison runs to budget exhaustion.  That end state is reported
-honestly as NoCounterexampleBelowBound: the sweep proves no
-counterexample exists below roughly the precision bound, and nothing
-beyond that.
+failing predicates, and the precision of that proof bounds the scan
+that locates the least counterexample, while a true universal
+statement makes S = 2 and the comparison runs to budget exhaustion.
+That end state is reported honestly as NoCounterexampleBelowBound: the
+sweep proves no counterexample exists below roughly the precision
+bound, and nothing beyond that.
 """
 
 from __future__ import annotations
@@ -453,16 +453,6 @@ def pi01_sum(pred: Pi01Pred) -> CReal:
     )
 
 
-def witness_search(pred: Pi01Pred, cap: int = 1_000_000) -> int:
-    """Least n with P(n) false, by linear scan up to cap."""
-    for n in range(cap):
-        if not pred.evaluate(n):
-            return n
-    raise ResourceExhausted(
-        f"no counterexample in the first {cap} naturals; raise the cap "
-        f"if the comparison stage says one exists")
-
-
 @dataclass(frozen=True, slots=True)
 class Counterexample:
     """The universal statement fails, and n is its least counterexample."""
@@ -489,29 +479,40 @@ class NoCounterexampleBelowBound:
 
 
 def pi01_decide(pred, *, start_precision: int = 1,
-                max_precision: int = DEFAULT_PI01_MAX_PRECISION,
-                witness_cap: int = 1_000_000):
+                max_precision: int = DEFAULT_PI01_MAX_PRECISION):
     """Decide 'P(n) for all n' as far as a bounded sweep can.
 
     Encodes the statement as the real S (see pi01_sum) and semi-decides
-    S < 2.  A proof of S < 2 means some P(n) fails, and the least such
-    n is then found by direct search and returned as a Counterexample.
-    Budget exhaustion returns NoCounterexampleBelowBound, which is the
-    honest reading of a sweep that cannot distinguish S = 2 from
+    S < 2.  Budget exhaustion returns NoCounterexampleBelowBound, which
+    is the honest reading of a sweep that cannot distinguish S = 2 from
     S very close to 2.
+
+    A proof of S < 2 at precision k means some P(n) fails, and it also
+    bounds the least such n*.  The enclosure of 2 is exact, so Proved
+    means S <= approx(S, k) + 2**-k < 2 - 2**-k.  If P held for every
+    n < N, S would be at least 2 - 2**(1-N); so N <= k, which gives
+    n* <= k.  A scan of 0..k therefore finds n*, in at most k + 1
+    predicate calls, fewer than the terms the last probe summed.  A scan
+    that finds nothing means a broken approximation: ConformanceError.
     """
     if isinstance(pred, str):
         pred = parse_predicate(pred)
     s = pi01_sum(pred)
     out = cmp_semidecide(s, const(2), start_precision, max_precision)
     if isinstance(out, Proved):
-        return Counterexample(witness_search(pred, witness_cap), out)
-    if isinstance(out, Exhausted):
+        for n in range(out.precision + 1):
+            if not pred.evaluate(n):
+                return Counterexample(n, out)
+        detail = "sum proved below 2, but P holds up to its precision"
+    elif isinstance(out, Exhausted):
         return NoCounterexampleBelowBound(max_precision, out)
-    # S > 2 is impossible: the series is bounded by the full geometric
-    # sum.  Refuted here means a broken approximation; fail loudly.
+    else:
+        # S > 2 is impossible: the series is bounded by the full
+        # geometric sum
+        detail = "encoded sum compared above 2"
+    # either way the approximation is broken; fail loudly
     raise ConformanceError({
         "predicate": pred.text,
         "outcome": str(out),
-        "detail": "encoded sum compared above 2",
+        "detail": detail,
     })

@@ -1,8 +1,10 @@
 """CLI behavior: exit codes, output shapes, JSON schema conformance."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -268,6 +270,15 @@ def test_pi01_bad_predicate_exits_3(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pi01_rejects_a_search_cap_option(capsys):
+    # the proof's precision bounds the counterexample scan, so there is
+    # no separate search limit to set
+    with pytest.raises(SystemExit) as exc:
+        main(["pi01", "n < 10", "--witness-cap", "5"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("predicate,code", [
     ("n ^ 100000000 > 0", 2),                     # a power over the limit
     ("n" + " + 1" * 1200 + " > 0", 3),            # a chain too deep
@@ -337,7 +348,28 @@ def test_selftest_run_validates_precisions():
         selftest.run(precisions=(4, -1))
 
 
-# -- installed entry point -------------------------------------------------
+# -- entry points ----------------------------------------------------------
+
+def _run_module(*args):
+    # the module entry point as a fresh process, with the package taken
+    # from this checkout's src
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-m", "certreal.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+def test_module_entry_point_runs():
+    proc = _run_module("pi01", "n != 5")
+    assert proc.returncode == 0, proc.stderr
+    assert "Counterexample: n = 5" in proc.stdout
+    proc = _run_module("prove", "sin(1) < 1")
+    assert proc.returncode == 0, proc.stderr
+    assert "Proved" in proc.stdout
+
 
 @pytest.mark.skipif(shutil.which("certreal") is None,
                     reason="console script not on PATH")

@@ -11,7 +11,7 @@ from certreal import (ConformanceError, Counterexample, DomainBudget,
                       NoCounterexampleBelowBound, ParseError, Proved,
                       Refuted, ResourceExhausted, TraceStep, dyadic,
                       outcome_jsonable, parse_predicate, pi01_decide,
-                      pi01_sum, prove, verify_outcome, witness_search)
+                      pi01_sum, prove, verify_outcome)
 from certreal import prover
 from certreal.dyadic import ZERO, power_of_two
 
@@ -530,12 +530,6 @@ def test_pi01_sum_rejects_raw_strings():
         pi01_sum("n >= 0")
 
 
-def test_witness_search():
-    assert witness_search(parse_predicate("n != 4")) == 4
-    with pytest.raises(ResourceExhausted):
-        witness_search(parse_predicate("n < 10"), cap=5)
-
-
 @pytest.mark.parametrize("text,expected", [
     ("n < 20", 20),
     ("n != 5", 5),
@@ -572,9 +566,63 @@ def test_pi01_completeness_at_tight_budget():
         assert isinstance(res, Counterexample) and res.n == m
 
 
-def test_pi01_decide_witness_cap():
-    with pytest.raises(ResourceExhausted):
-        pi01_decide("n < 10", witness_cap=5)
+def _pi01_corpus(rng, count):
+    shapes = [
+        lambda: f"n < {rng.randrange(0, 120)}",
+        lambda: f"n != {rng.randrange(0, 120)}",
+        lambda: f"not ({rng.randrange(2, 9)} | n) or n < "
+                f"{rng.randrange(0, 100)}",
+        lambda: f"n * n < {rng.randrange(0, 15000)}",
+        lambda: f"(2 | n) or n < {rng.randrange(0, 100)}",
+        lambda: f"n < {rng.randrange(0, 60)} or n > "
+                f"{rng.randrange(60, 130)}",
+    ]
+    return [rng.choice(shapes)() for _ in range(count)]
+
+
+def test_pi01_counterexample_matches_brute_force():
+    for text in _pi01_corpus(random.Random(17), 120):
+        pred = parse_predicate(text)
+        least = next(n for n in range(1000) if not pred.evaluate(n))
+        res = pi01_decide(text)
+        assert isinstance(res, Counterexample), text
+        assert res.n == least, text
+
+
+@pytest.mark.parametrize("text", [
+    "n < 20", "n != 5", "n * n < 22600", "not (3 | n) or n < 10", "n < 0",
+    "n != 200",
+])
+def test_pi01_scan_stays_below_the_proof_precision(text):
+    # the precision of the proof of S < 2 bounds the least
+    # counterexample, and the scan reads no predicate value past it
+    pred = parse_predicate(text)
+    honest = pred._fn
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return honest(n)
+
+    pred._fn = counting
+    res = pi01_decide(pred)
+    # the series reads each n once, in order; the scan starts again at 0
+    restart = calls.index(0, 1)
+    assert calls[:restart] == list(range(restart))
+    scanned = calls[restart:]
+    assert scanned == list(range(res.n + 1))
+    assert max(scanned) <= res.comparison.precision
+
+
+def test_pi01_decide_proof_without_counterexample_fails_loudly(monkeypatch):
+    # a Proved comparison bounds the least counterexample by its
+    # precision; nothing below it means a broken approximation
+    monkeypatch.setattr(prover, "cmp_semidecide",
+                        lambda *a, **k: _fake_decisive(Proved))
+    with pytest.raises(ConformanceError) as exc:
+        pi01_decide("n >= 0")
+    assert exc.value.detail["predicate"] == "n >= 0"
+    assert "precision" in exc.value.detail["detail"]
 
 
 def test_pi01_decide_impossible_refutation_fails_loudly(monkeypatch):
