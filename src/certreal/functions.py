@@ -278,11 +278,11 @@ def cos(x) -> CReal:
 def tan(x, cert: ApartnessCertificate) -> CReal:
     """tan(x) = sin(x) / cos(x); cert must certify cos(x) apart from 0.
 
-    A certificate is a precision and a sign, so one found on any cos(x)
-    node holds for the cos(x) built here; div revalidates it.
+    The certificate is revalidated against a fresh cos(x) node, which
+    is sound because approximations are deterministic.
     """
     xc = _cr._coerce(x)
-    return _cr.div(sin(xc), cos(xc), cert)
+    return _cr._Mul(sin(xc), _cr._Recip(cos(xc), cert))
 
 
 def ln(x, cert: ApartnessCertificate) -> CReal:

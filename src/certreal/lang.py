@@ -21,11 +21,10 @@ DomainViolation.
 Elaboration builds one node per distinct subterm.  A Sharing gives
 every syntax node a structure id, equal for two occurrences of the same
 subterm whatever their spans, and memoizes the elaborated node by it,
-so sin(x) * sin(x) reads one sin(x) node, a tan(x) divides the query's
-own sin(x) and cos(x) nodes, and a repeated divisor is certified once.
-A Sharing lives for one elaborate() call, or for one prove() call whose
-two sides share it; nothing outlives the call, so approx(x, k) still
-depends on k alone.
+so sin(x) * sin(x) reads one sin(x) node and a repeated divisor is
+certified once.  A Sharing lives for one elaborate() call, or for one
+prove() call whose two sides share it; nothing outlives the call, so
+approx(x, k) still depends on k alone.
 
 An expression may nest at most DEPTH_LIMIT levels deep (see
 docs/grammar.ebnf); deeper input is a ParseError, not a RecursionError
@@ -120,7 +119,11 @@ TAN_HEIGHT = 2
 
 
 def same_tree(a, b) -> bool:
-    """Structural equality ignoring source spans."""
+    """Structural equality ignoring source spans.
+
+    Both trees are interned into one table and their structure ids
+    compared.  A non-node argument raises TypeError.
+    """
     table, ids = {}, {}
     return _intern(a, table, ids) == _intern(b, table, ids)
 
@@ -442,22 +445,21 @@ class Sharing:
     Every syntax node under the root gets a structure id, a small int
     interned from its kind, its operator, function or literal value, and
     its children's ids; spans are ignored, so two occurrences of one
-    subterm get one id.  ``table`` maps each structure's key to its id,
-    and ``ids`` maps id(node) to it and holds while the tree is alive.
-    ``nodes`` is the elaboration memo, one computable real per structure
-    id, filled under a single domain budget.
+    subterm get one id.  ``ids`` maps id(node) to it and holds while the
+    tree is alive.  ``nodes`` is the elaboration memo, one computable
+    real per structure id, filled under a single domain budget.
     ``repeats`` tells whether some structure occurs twice, which is when
     the interval backend memoizes enclosures (intervals.eval_interval).
     """
 
-    __slots__ = ("table", "ids", "nodes", "repeats")
+    __slots__ = ("ids", "nodes", "repeats")
 
     def __init__(self, root):
-        self.table = {}
+        table = {}
         self.ids = {}
         self.nodes = {}
-        _intern(root, self.table, self.ids)
-        self.repeats = len(self.table) < len(self.ids)
+        _intern(root, table, self.ids)
+        self.repeats = len(table) < len(self.ids)
 
 
 def _intern(n, table: dict, ids: dict) -> int:
@@ -503,7 +505,7 @@ def elaborate(node, budget: DomainBudget | None = None, *,
         budget = DomainBudget()
     if sharing is None:
         sharing = Sharing(node)
-    return _elab(node, budget, sharing)
+    return _elab(node, budget, sharing.ids, sharing.nodes)
 
 
 def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
@@ -518,11 +520,10 @@ def _find_apart_or_raise(x: creal.CReal, span: Span, budget: DomainBudget,
     return cert
 
 
-def _elab(node, budget: DomainBudget, sharing: Sharing) -> creal.CReal:
+def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
     # the first occurrence of a structure elaborates it, so a domain
     # error names the first offending subterm in reading order
-    nodes = sharing.nodes
-    sid = sharing.ids[id(node)]
+    sid = ids[id(node)]
     x = nodes.get(sid)
     if x is not None:
         return x
@@ -533,10 +534,10 @@ def _elab(node, budget: DomainBudget, sharing: Sharing) -> creal.CReal:
     elif isinstance(node, PiConst):
         x = functions.pi()
     elif isinstance(node, Neg):
-        x = -_elab(node.arg, budget, sharing)
+        x = -_elab(node.arg, budget, ids, nodes)
     elif isinstance(node, BinOp):
-        lhs = _elab(node.lhs, budget, sharing)
-        rhs = _elab(node.rhs, budget, sharing)
+        lhs = _elab(node.lhs, budget, ids, nodes)
+        rhs = _elab(node.rhs, budget, ids, nodes)
         if node.op == "+":
             x = lhs + rhs
         elif node.op == "-":
@@ -550,7 +551,7 @@ def _elab(node, budget: DomainBudget, sharing: Sharing) -> creal.CReal:
         else:
             raise AssertionError(f"unknown operator {node.op!r}")
     elif isinstance(node, Call):
-        arg = _elab(node.arg, budget, sharing)
+        arg = _elab(node.arg, budget, ids, nodes)
         if node.fn == "exp":
             x = functions.exp(arg)
         elif node.fn == "sin":
@@ -569,28 +570,13 @@ def _elab(node, budget: DomainBudget, sharing: Sharing) -> creal.CReal:
         elif node.fn == "tan":
             # tan(x) = sin(x) / cos(x), dividing by the cos node the
             # search certified
-            a = sharing.ids[id(node.arg)]
-            co = _shared_call(sharing, "cos", a, functions.cos, arg)
+            co = functions.cos(arg)
             cert = _find_apart_or_raise(co, node.span, budget,
                                         "cos of the tan argument")
-            si = _shared_call(sharing, "sin", a, functions.sin, arg)
-            x = creal.div(si, co, cert)
+            x = creal.div(functions.sin(arg), co, cert)
         else:
             raise AssertionError(f"unknown function {node.fn!r}")
     else:
         raise TypeError(f"not an expression node: {node!r}")
     nodes[sid] = x
-    return x
-
-
-def _shared_call(sharing: Sharing, fn: str, a: int, make, arg) -> creal.CReal:
-    # the query's own node for the call fn(x), x of structure id a, put
-    # in the memo if not yet elaborated; a fresh node when the query
-    # never spells that call out
-    sid = sharing.table.get((fn, a))
-    if sid is None:
-        return make(arg)
-    x = sharing.nodes.get(sid)
-    if x is None:
-        x = sharing.nodes[sid] = make(arg)
     return x

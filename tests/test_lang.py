@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from certreal import creal, functions, lang, prover
+from certreal import creal, lang, prover
 from certreal.errors import (DomainUnverifiable, DomainViolation, ParseError,
                              RelationUnsupported)
 from certreal.lang import (DEPTH_LIMIT, TAN_HEIGHT, BinOp, Call, DecLit,
@@ -327,15 +327,6 @@ def test_elaborations_share_no_node():
     b = _dag_nodes(elaborate(parse_expression(text)), {})
     assert len(a) == len(b) > 10
     assert not a.keys() & b.keys()
-
-
-@pytest.mark.parametrize("text", ["tan(0.5) * cos(0.5)",
-                                  "sin(0.5) / tan(0.5)",
-                                  "tan(0.5) + sin( 0.5 ) * cos(0.50)"])
-def test_tan_reuses_the_spelled_out_sin_and_cos(text):
-    nodes = _dag_nodes(elaborate(parse_expression(text)), {}).values()
-    calls = [x for x in nodes if isinstance(x, functions._SinCos)]
-    assert sorted(x.want_sin for x in calls) == [False, True]
 
 
 _SHARED_TEXT = (IDENTITY + " - exp(0.3) * exp(0.3) / (1 + exp(0.3) * exp(0.3))"
