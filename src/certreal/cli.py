@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -85,22 +86,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# a trailing decimal exponent e, which Fraction expands into 10**|e|
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def _start_precision(text: str | None, max_prec: int) -> int:
     if text is None:
         return 1
+    limit = max(max_prec, 1)
+    # a mantissa shorter than the text lies in [10**-n, 10**n) for
+    # n = len(text), so past n + limit decades the exponent alone
+    # decides and the text is read with its exponent digits zeroed,
+    # which keeps its syntax and sign
+    far = len(text) + limit
+    exp = _EXPONENT.search(text)
     try:
-        eps = Fraction(text)
+        e = 0 if exp is None else int(exp[1])
+        eps = Fraction(text if abs(e) <= far else
+                       text[:exp.start(1)] + re.sub("[1-9]", "0", exp[1])
+                       + text[exp.end(1):])
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--start-eps: not a rational: {text!r}")
     if eps <= 0:
         raise ValueError("--start-eps must be positive")
+    if e > far:
+        return 1
+    if e < -far:
+        raise ValueError("--start-eps is finer than --max-prec allows")
     # coarsest dyadic grid at least as fine as the requested width: the
     # least k >= 1 with q <= p * 2**k is the bit-length gap or one more
     p, q = eps.numerator, eps.denominator
     k = max(1, q.bit_length() - p.bit_length())
     if p << k < q:
         k += 1
-    if k > max(max_prec, 1):
+    if k > limit:
         raise ValueError("--start-eps is finer than --max-prec allows")
     return k
 
@@ -148,9 +167,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("--digits must be at least 1")
     expr = lang.parse_expression(args.expression)
     x = lang.elaborate(expr)
-    # 2**-k is below a quarter of the last printed decimal place, so
-    # the rendering is off by at most one unit in that place
-    k = (10 ** args.digits).bit_length() + 2
+    k = _eval_precision(args.digits)
     q = x.approx(k)
     text = to_decimal_string(q, args.digits)
     if args.json:
@@ -170,6 +187,25 @@ def _cmd_eval(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _eval_precision(digits: int) -> int:
+    """(10**digits).bit_length() + 2, without building 10**digits.
+
+    2**-k is then below a quarter of the last printed decimal place, so
+    the rendering is off by at most one unit in that place.  k is
+    floor(digits * log2(10)) + 3, and digits * log2(10) is never an
+    integer, so a fine enough enclosure of it settles the floor; a k
+    over the precision limit is refused by approx.
+    """
+    x = lang.elaborate(lang.parse_expression(f"{digits} * ln(10) / ln(2)"))
+    j = 16
+    while True:
+        q, r = x.approx(j), power_of_two(-j)
+        lo = (q - r).floor()
+        if lo == (q + r).floor():
+            return lo + 3
+        j *= 2
 
 
 def _cmd_pi01(args) -> int:

@@ -189,12 +189,7 @@ def dyadic(mantissa: int, exponent: int = 0) -> BigDyadic:
 _ZERO = BigDyadic(0, 0)
 ZERO = _ZERO
 ONE = BigDyadic(1, 0)
-TWO = BigDyadic(1, 1)
 MINUS_ONE = BigDyadic(-1, 0)
-
-
-def from_int(n: int) -> BigDyadic:
-    return dyadic(n, 0)
 
 
 def power_of_two(e: int) -> BigDyadic:
@@ -395,9 +390,3 @@ def to_decimal_string(a: BigDyadic, digits: int) -> str:
     whole, frac = divmod(scaled, p)
     return (f"{sign}{int_to_decimal(whole)}."
             f"{int_to_decimal(frac).zfill(digits)}")
-
-
-def from_fraction_nearest(f: Fraction, k: int) -> BigDyadic:
-    """Nearest point of the 2**-k grid to an exact rational."""
-    num, den = f.numerator, f.denominator
-    return dyadic(div_nearest(num << k, den), -k)

@@ -14,16 +14,18 @@ compares an interval enclosure against the approximation backend's
 certified enclosure of the same expression and fails loudly if they
 are disjoint, which would mean one of the two is wrong.
 
-When an expression repeats a subterm, one evaluation pass computes
-each distinct call and pi once per working precision: the pass
-memoizes their enclosures by (structure id, precision), the ids coming
-from a lang.Sharing.  A hit returns the very enclosure the pass would
-recompute, so no bit changes, and the memo ends with the pass.
+When an expression or query repeats a subterm, each distinct call and
+pi is computed once per working precision: the evaluation memoizes
+their enclosures by (structure id, precision) on the lang.Sharing it is
+given, which prove() and conformance_check() build once per call.  An
+enclosure depends on the subterm and the precision alone, so a hit from
+another pass, or from the other side of a query, returns the very
+enclosure a fresh evaluation would; no bit changes, and the memo ends
+with the Sharing.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from . import kernels
@@ -168,31 +170,20 @@ def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
                     clamp_unit(round_ceil(v + rad + r, w)))
 
 
-class _Pass(threading.local):
-    # the running pass's memo, (structure id, w) -> enclosure of a call
-    # or pi, and the structure ids it is keyed by; memo is None when the
-    # expression repeats no subterm, and outside a pass
-    memo = None
-    ids = None
-
-
-_pass = _Pass()
-
-
-def _eval(e, w: int) -> Interval:
+def _eval(e, w: int, sh) -> Interval:
+    # sh is the lang.Sharing of a tree containing e; its enclosures memo,
+    # when there is one, is keyed by (structure id, w)
     from . import lang
 
-    if isinstance(e, lang.IntLit):
-        return point(dyadic(e.value))
-    if isinstance(e, lang.DecLit):
-        num, den = e.num, e.den
-        scaled = num << w if w >= 0 else num >> -w
-        return Interval(dyadic(scaled // den, -w),
-                        dyadic(-((-scaled) // den), -w))
+    if isinstance(e, lang.Num):
+        # w >= 12 here; an integer gives the point [num, num]
+        scaled = e.num << w
+        return Interval(dyadic(scaled // e.den, -w),
+                        dyadic(-((-scaled) // e.den), -w))
     if isinstance(e, lang.PiConst):
-        memo = _pass.memo
+        memo = sh.enclosures
         if memo is not None:
-            key = (_pass.ids[id(e)], w)
+            key = (sh.ids[id(e)], w)
             iv = memo.get(key)
             if iv is not None:
                 return iv
@@ -202,10 +193,10 @@ def _eval(e, w: int) -> Interval:
             memo[key] = iv
         return iv
     if isinstance(e, lang.Neg):
-        return ineg(_eval(e.arg, w))
+        return ineg(_eval(e.arg, w, sh))
     if isinstance(e, lang.BinOp):
-        a = _eval(e.lhs, w)
-        b = _eval(e.rhs, w)
+        a = _eval(e.lhs, w, sh)
+        b = _eval(e.rhs, w, sh)
         if e.op == "+":
             return iadd(a, b, w)
         if e.op == "-":
@@ -216,15 +207,15 @@ def _eval(e, w: int) -> Interval:
             return idiv(a, b, w)
         raise AssertionError(f"unknown operator {e.op!r}")
     if isinstance(e, lang.Call):
-        memo = _pass.memo
+        memo = sh.enclosures
         if memo is not None:
-            key = (_pass.ids[id(e)], w)
+            key = (sh.ids[id(e)], w)
             iv = memo.get(key)
             if iv is not None:
                 return iv
         # tan is the quotient of sine and cosine enclosures taken from one
         # enclosure of its argument, four bits finer
-        a = _eval(e.arg, w + 4 if e.fn == "tan" else w)
+        a = _eval(e.arg, w + 4 if e.fn == "tan" else w, sh)
         r = power_of_two(-(w + 2))
         if e.fn == "exp":
             iv = Interval(round_floor(_exp_point(a.lo, w + 2) - r, w),
@@ -272,11 +263,12 @@ def eval_interval(e, k: int, sharing=None) -> IntervalResult:
     An unconverged result is still a sound enclosure; it is only wider
     than requested.  DomainUndetermined propagates if a domain sign
     condition stays undecided at every retry precision.  ``sharing``
-    is a lang.Sharing of a tree that contains e, so that a caller that
-    evaluates one query many times computes its structure ids once; by
-    default it is built here.  When the tree repeats a subterm, each
-    pass memoizes the enclosures of its calls and pi by those ids (see
-    the module docstring).
+    is a lang.Sharing of a tree that contains e; a caller that evaluates
+    one query many times passes the same one, so the structure ids are
+    computed once and, when the tree repeats a subterm, the enclosures
+    of its calls and pi once per working precision for all the calls
+    (see the module docstring).  By default it is built here and lasts
+    for this call.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError("precision must be a nonnegative integer")
@@ -287,20 +279,15 @@ def eval_interval(e, k: int, sharing=None) -> IntervalResult:
     target = power_of_two(1 - k)
     last = None
     failure = None
-    _pass.ids = sharing.ids
-    try:
-        for w in (k + 12, 2 * k + 24, 4 * k + 48):
-            _pass.memo = {} if sharing.repeats else None
-            try:
-                iv = _eval(e, w)
-            except DomainUndetermined as exc:
-                failure = exc
-                continue
-            if iv.width() <= target:
-                return IntervalResult(iv, True, k)
-            last = iv
-    finally:
-        _pass.memo = _pass.ids = None
+    for w in (k + 12, 2 * k + 24, 4 * k + 48):
+        try:
+            iv = _eval(e, w, sharing)
+        except DomainUndetermined as exc:
+            failure = exc
+            continue
+        if iv.width() <= target:
+            return IntervalResult(iv, True, k)
+        last = iv
     if last is not None:
         return IntervalResult(last, False, k)
     raise DomainUndetermined(k) from failure

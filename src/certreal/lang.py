@@ -22,9 +22,10 @@ Elaboration builds one node per distinct subterm.  A Sharing gives
 every syntax node a structure id, equal for two occurrences of the same
 subterm whatever their spans, and memoizes the elaborated node by it,
 so sin(x) * sin(x) reads one sin(x) node and a repeated divisor is
-certified once.  A Sharing lives for one elaborate() call, or for one
-prove() call whose two sides share it; nothing outlives the call, so
-approx(x, k) still depends on k alone.
+certified once.  The interval backend keeps its enclosures on the same
+Sharing.  A Sharing lives for one elaborate() call, or for one prove()
+or conformance_check() call whose two sides or backends share it;
+nothing outlives the call, so approx(x, k) still depends on k alone.
 
 An expression may nest at most DEPTH_LIMIT levels deep (see
 docs/grammar.ebnf); deeper input is a ParseError, not a RecursionError
@@ -47,14 +48,9 @@ Span = tuple  # (start_byte, end_byte)
 
 
 @dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
-    span: Span
-
-
-@dataclass(frozen=True, slots=True)
-class DecLit:
-    """Exact decimal literal num/den (den a reduced power of ten)."""
+class Num:
+    """Exact literal num/den in lowest terms: den is 1 for an integer
+    and otherwise divides a power of ten."""
 
     num: int
     den: int
@@ -97,7 +93,7 @@ class Query:
     span: Span
 
 
-Expr = IntLit | DecLit | PiConst | Neg | BinOp | Call
+Expr = Num | PiConst | Neg | BinOp | Call
 
 FUNCTIONS = ("exp", "sin", "cos", "tan", "ln")
 
@@ -195,6 +191,12 @@ def _lex(src: str):
 
 # -- parser ---------------------------------------------------------------
 
+# How tightly each binary operator binds, read by the parser and the
+# printer; unary minus binds tighter than any of them.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_UNARY_PREC = max(_PREC.values()) + 1
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
@@ -256,29 +258,22 @@ class _Parser:
             raise _too_deep(t)
         return height + 1
 
-    def parse_expr(self):
-        node, h = self.parse_term()
+    def parse_expr(self, level: int = 1):
+        # operands joined left to right by the operators of one _PREC
+        # level; an operand is read inline, not by a helper, so each
+        # level costs one frame
+        tighter = level + 1
+        node, h = (self.parse_factor() if tighter == _UNARY_PREC
+                   else self.parse_expr(tighter))
         while True:
             t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.next()
-                rhs, hr = self.parse_term()
-                h = self._above(max(h, hr), t)
-                node = BinOp(t.text, node, rhs, (node.span[0], rhs.span[1]))
-            else:
+            if t.kind != "op" or _PREC.get(t.text) != level:
                 return node, h
-
-    def parse_term(self):
-        node, h = self.parse_factor()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "*/":
-                self.next()
-                rhs, hr = self.parse_factor()
-                h = self._above(max(h, hr), t)
-                node = BinOp(t.text, node, rhs, (node.span[0], rhs.span[1]))
-            else:
-                return node, h
+            self.next()
+            rhs, hr = (self.parse_factor() if tighter == _UNARY_PREC
+                       else self.parse_expr(tighter))
+            h = self._above(max(h, hr), t)
+            node = BinOp(t.text, node, rhs, (node.span[0], rhs.span[1]))
 
     def parse_factor(self):
         # a run of unary minuses is read by a loop, not by recursion
@@ -325,20 +320,13 @@ def _too_deep(t: _Token) -> ParseError:
                                f"{DEPTH_LIMIT} levels")
 
 
-def _num_node(t: _Token):
-    text = t.text
-    span = (t.start, t.end)
-    if "." not in text:
-        return IntLit(decimal_to_int(text), span)
-    whole, frac = text.split(".")
+def _num_node(t: _Token) -> Num:
+    # reduced, so "2.0" and "2" are one node and printing is injective
+    whole, _, frac = t.text.partition(".")
     num = decimal_to_int(whole + frac)
     den = 10 ** len(frac)
     g = math.gcd(num, den)
-    num, den = num // g, den // g
-    if den == 1:
-        # "2.0" denotes an integer; normalizing keeps printing injective
-        return IntLit(num, span)
-    return DecLit(num, den, span)
+    return Num(num // g, den // g, (t.start, t.end))
 
 
 def parse(src: str):
@@ -364,8 +352,6 @@ def parse_query(src: str) -> Query:
 
 # -- printer --------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def format_expr(node) -> str:
     """Minimal-parentheses rendering; reparsing gives the same tree."""
@@ -376,18 +362,15 @@ def format_expr(node) -> str:
 
 
 def _fmt(node, parent_prec: int) -> str:
-    if isinstance(node, IntLit):
-        return int_to_decimal(node.value)
-    if isinstance(node, DecLit):
+    if isinstance(node, Num):
         return _decimal_text(node.num, node.den)
     if isinstance(node, PiConst):
         return "pi"
     if isinstance(node, Call):
         return f"{node.fn}({_fmt(node.arg, 0)})"
     if isinstance(node, Neg):
-        inner = _fmt(node.arg, 3)
-        s = f"-{inner}"
-        return f"({s})" if parent_prec >= 3 else s
+        s = f"-{_fmt(node.arg, _UNARY_PREC)}"
+        return f"({s})" if parent_prec >= _UNARY_PREC else s
     if isinstance(node, BinOp):
         prec = _PREC[node.op]
         # parsing is left-associative, so a right operand at the same
@@ -400,15 +383,15 @@ def _fmt(node, parent_prec: int) -> str:
 
 
 def _decimal_text(num: int, den: int) -> str:
-    # den is 2**a * 5**b after reduction of a power of ten; scale to the
-    # smallest power of ten and print exactly
+    # den is 2**a * 5**b after reduction of a power of ten, 1 for an
+    # integer; scale to the smallest power of ten and print exactly
     a = (den & -den).bit_length() - 1
     rest = den >> a
     b = 0
     while rest % 5 == 0:
         rest //= 5
         b += 1
-    assert rest == 1, "decimal literal denominator must divide a power of 10"
+    assert rest == 1, "literal denominator must divide a power of 10"
     digits = max(a, b)
     scaled = num * 10 ** digits // den
     whole, frac = divmod(scaled, 10 ** digits)
@@ -448,32 +431,32 @@ class Sharing:
     subterm get one id.  ``ids`` maps id(node) to it and holds while the
     tree is alive.  ``nodes`` is the elaboration memo, one computable
     real per structure id, filled under a single domain budget.
-    ``repeats`` tells whether some structure occurs twice, which is when
-    the interval backend memoizes enclosures (intervals.eval_interval).
+    ``enclosures`` is the interval backend's memo, one enclosure per
+    call or pi structure id and working precision, shared by every
+    intervals.eval_interval pass given this Sharing; it is None, and
+    nothing is memoized, when no structure occurs twice.
     """
 
-    __slots__ = ("ids", "nodes", "repeats")
+    __slots__ = ("ids", "nodes", "enclosures")
 
     def __init__(self, root):
         table = {}
         self.ids = {}
         self.nodes = {}
         _intern(root, table, self.ids)
-        self.repeats = len(table) < len(self.ids)
+        self.enclosures = {} if len(table) < len(self.ids) else None
 
 
 def _intern(n, table: dict, ids: dict) -> int:
     # a key leads with a tag that no two kinds share: the operator, the
-    # function name, the relation, or "neg", "int", "dec", "pi"
+    # function name, the relation, or "neg", "num", "pi"
     t = type(n)
     if t is BinOp:
         key = (n.op, _intern(n.lhs, table, ids), _intern(n.rhs, table, ids))
     elif t is Call:
         key = (n.fn, _intern(n.arg, table, ids))
-    elif t is IntLit:
-        key = ("int", n.value)
-    elif t is DecLit:
-        key = ("dec", n.num, n.den)
+    elif t is Num:
+        key = ("num", n.num, n.den)
     elif t is PiConst:
         key = "pi"
     elif t is Neg:
@@ -527,9 +510,7 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
     x = nodes.get(sid)
     if x is not None:
         return x
-    if isinstance(node, IntLit):
-        x = creal.const(node.value)
-    elif isinstance(node, DecLit):
+    if isinstance(node, Num):
         x = creal.const(node.num, node.den)
     elif isinstance(node, PiConst):
         x = functions.pi()

@@ -335,10 +335,7 @@ def eval_expr_bounds(node, bits: int):
     from the computed intervals; the test corpus avoids those inputs.
     """
     snap = bits + 64
-    if isinstance(node, lang.IntLit):
-        v = Fraction(node.value)
-        return v, v
-    if isinstance(node, lang.DecLit):
+    if isinstance(node, lang.Num):
         v = Fraction(node.num, node.den)
         return v, v
     if isinstance(node, lang.PiConst):

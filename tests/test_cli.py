@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -94,6 +95,31 @@ def test_start_precision_matches_a_scan(max_prec):
             _outcome(_start_precision_by_scan, text, max_prec), text
 
 
+def _start_precision_by_fraction(text, max_prec):
+    # the reference for any text: Fraction reads it whole
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--start-eps: not a rational: {text!r}")
+    if eps <= 0:
+        raise ValueError("--start-eps must be positive")
+    return _start_precision_by_scan(text, max_prec)
+
+
+@pytest.mark.parametrize("max_prec", [0, 1, 9, 64])
+def test_start_precision_with_an_exponent_matches_a_scan(max_prec):
+    # around the exponent past which the mantissa cannot matter
+    texts = []
+    for mantissa in ("1", "7.5", "0.003", "1000", "00.00", "-2", "1/2",
+                     "1_0"):
+        for e in range(-90, 91, 3):
+            texts += [f"{mantissa}e{e}", f"{mantissa}E{e:+d} "]
+    texts += ["1e1_0", "1e-1__0", "1e_1", "1.e-40", "1e", "1 e-40"]
+    for text in texts:
+        assert _outcome(cli._start_precision, text, max_prec) == \
+            _outcome(_start_precision_by_fraction, text, max_prec), text
+
+
 def test_prove_interval_backend(capsys):
     assert main(["prove", "pi > 3", "--backend", "interval", "--json"]) == 0
     doc = _json_out(capsys)
@@ -156,6 +182,16 @@ def test_deep_expressions_exit_3(capsys, query):
     assert main(["prove", query, "--backend", "both"]) == 3
     err = capsys.readouterr().err
     assert f"nests deeper than {lang.DEPTH_LIMIT} levels" in err
+
+
+@pytest.mark.parametrize("prefix", ["1+1*(", "1-1/(", "1*(", "("])
+def test_nested_groups_exit_3_in_a_fresh_process(prefix):
+    # each text is too deep or not a comparison; a fresh interpreter
+    # holds only the CLI's own frames below the parser
+    for n in (lang.DEPTH_LIMIT - 1, lang.DEPTH_LIMIT):
+        text = prefix * n + "1" + ")" * n
+        proc = _run_module("prove", text, "--backend", "both")
+        assert proc.returncode == 3, proc.stderr
 
 
 def test_expressions_at_the_depth_limit_are_proved(capsys):
@@ -228,6 +264,27 @@ def test_resource_exhausted_exits_2(capsys):
     tower = "exp(" * 60 + "1" + ")" * 60
     assert main(["eval", tower]) == 2
     assert "over the limit" in capsys.readouterr().err
+
+
+def test_eval_precision_is_the_power_of_ten_bit_length():
+    rng = random.Random("eval-precision")
+    for d in list(range(1, 400)) + [rng.randint(400, 50000)
+                                    for _ in range(20)]:
+        assert cli._eval_precision(d) == (10 ** d).bit_length() + 2, d
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (("eval", "1", "--digits", "100000000"), 2,
+     "precision request 2^-332192812 over the limit"),
+    (("prove", "1 < 2", "--start-eps", "1e-100000000"), 3,
+     "--start-eps is finer than --max-prec allows"),
+    (("prove", "1 < 2", "--start-eps", "1e100000000"), 0, ""),
+], ids=["digits", "tiny-start-eps", "huge-start-eps"])
+def test_huge_numbers_are_refused_before_a_power_of_ten(args, code, message):
+    # building 10**(10**8) alone would take minutes
+    proc = _run_module(*args, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
 
 
 def test_eval_json_is_schema_valid(capsys):
@@ -350,7 +407,7 @@ def test_selftest_run_validates_precisions():
 
 # -- entry points ----------------------------------------------------------
 
-def _run_module(*args):
+def _run_module(*args, timeout=120):
     # the module entry point as a fresh process, with the package taken
     # from this checkout's src
     src = str(Path(__file__).parent.parent / "src")
@@ -358,7 +415,7 @@ def _run_module(*args):
     env = dict(os.environ,
                PYTHONPATH=src + os.pathsep + path if path else src)
     return subprocess.run([sys.executable, "-m", "certreal.cli", *args],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=timeout,
                           env=env)
 
 

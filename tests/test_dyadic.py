@@ -10,10 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
-                             TWO, ZERO, add_aligned,
-                             decimal_to_int, div_nearest,
-                             div_nearest_lead, dyadic,
-                             from_fraction_nearest, from_int, int_to_decimal,
+                             ZERO, add_aligned, decimal_to_int, div_nearest,
+                             div_nearest_lead, dyadic, int_to_decimal,
                              power_of_two, round_ceil, round_floor, round_to,
                              shift_nearest, to_decimal_string)
 from certreal.errors import ExponentOverflow
@@ -233,16 +231,9 @@ def test_decimal_conversion_past_int_str_limit():
     assert str(big) == "1" + "0" * 4999 + "1*2^-1"
 
 
-@given(st.fractions(), grids)
-def test_from_fraction_nearest(f, k):
-    q = from_fraction_nearest(f, k)
-    assert abs(q.as_fraction() - f) <= Fraction(1, 2 ** (k + 1))
-
-
 def test_constants_and_constructors():
     assert ZERO.is_zero() and ZERO.sign() == 0
-    assert ONE.as_fraction() == 1 and TWO.as_fraction() == 2
-    assert from_int(-12).as_fraction() == -12
+    assert ONE.as_fraction() == 1
     assert power_of_two(-5).as_fraction() == Fraction(1, 32)
     assert str(dyadic(12, 0)) == "3*2^2"
     assert repr(dyadic(3, -1)) == "BigDyadic(3, -1)"

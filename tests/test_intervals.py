@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from certreal import intervals, lang
+from certreal import intervals, lang, prover
 from certreal.dyadic import ONE, ZERO, dyadic
 from certreal.errors import DomainUndetermined, DomainViolation
 from certreal.intervals import (Interval, conformance_check, eval_interval,
@@ -276,10 +276,10 @@ def test_tan_evaluates_its_argument_once(monkeypatch):
     honest = intervals._eval
     calls = 0
 
-    def counting(e, w):
+    def counting(e, w, sh):
         nonlocal calls
         calls += 1
-        return honest(e, w)
+        return honest(e, w, sh)
 
     monkeypatch.setattr(intervals, "_eval", counting)
     counts = []
@@ -314,17 +314,57 @@ def test_repeated_calls_evaluate_once_per_pass(monkeypatch):
         assert set(calls.values()) == {1}
 
 
-@pytest.mark.parametrize("text", [
+MEMO_CORPUS = [
     IDENTITY,
     "exp(0.5) * exp(0.5) - exp(2 * 0.5)",
     "pi * pi - tan(pi / 5) * tan(pi / 5) + ln(pi)",
     "1 / (exp(0.3) - 1) + 1 / (exp(0.3) - 1)",
-])
+]
+
+
+@pytest.mark.parametrize("text", MEMO_CORPUS)
 def test_pass_memo_moves_no_enclosure(text):
     e = lang.parse_expression(text)
     on = lang.Sharing(e)
     off = lang.Sharing(e)
-    off.repeats = False
-    assert on.repeats
+    off.enclosures = None
+    assert on.enclosures is not None
     for k in (0, 7, 64, 500):
         assert eval_interval(e, k, on) == eval_interval(e, k, off)
+
+
+def test_memo_spans_the_two_sides_of_a_query(monkeypatch):
+    honest = intervals._sincos_point
+    calls = Counter()
+
+    def counting(d, t, want_sin):
+        calls[t, want_sin] += 1
+        return honest(d, t, want_sin)
+
+    monkeypatch.setattr(intervals, "_sincos_point", counting)
+    out = prover.prove("sin(0.62) < sin(0.62) + 1", backend="interval")
+    assert isinstance(out, prover.Proved)
+    # the query's Sharing carries the memo across both sides and every
+    # precision of the deepening schedule
+    assert calls and set(calls.values()) == {1}
+
+
+class _NoEnclosureMemo(lang.Sharing):
+    __slots__ = ()
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.enclosures = None
+
+
+@pytest.mark.parametrize("text", MEMO_CORPUS)
+def test_query_memo_moves_no_outcome(text, monkeypatch):
+    queries = [f"{text} < {text} + 1", f"{text} > 1"]
+    on = [prover.outcome_jsonable(
+        prover.prove(q, backend="both", max_precision=200), True)
+        for q in queries]
+    monkeypatch.setattr(lang, "Sharing", _NoEnclosureMemo)
+    off = [prover.outcome_jsonable(
+        prover.prove(q, backend="both", max_precision=200), True)
+        for q in queries]
+    assert on == off

@@ -11,8 +11,8 @@ import oracles
 from certreal import creal, lang, prover
 from certreal.errors import (DomainUnverifiable, DomainViolation, ParseError,
                              RelationUnsupported)
-from certreal.lang import (DEPTH_LIMIT, TAN_HEIGHT, BinOp, Call, DecLit,
-                           DomainBudget, IntLit, Neg, PiConst, Query, Sharing,
+from certreal.lang import (DEPTH_LIMIT, TAN_HEIGHT, BinOp, Call,
+                           DomainBudget, Neg, Num, PiConst, Query, Sharing,
                            elaborate, format_expr, parse, parse_expression,
                            parse_query, same_tree)
 
@@ -20,11 +20,11 @@ S = (0, 0)  # spans are ignored by same_tree
 
 
 def _dec(num, den):
-    return DecLit(num, den, S)
+    return Num(num, den, S)
 
 
 exprs = st.deferred(lambda: st.one_of(
-    st.integers(0, 10 ** 6).map(lambda n: IntLit(n, S)),
+    st.integers(0, 10 ** 6).map(lambda n: Num(n, 1, S)),
     st.sampled_from([_dec(1, 2), _dec(5, 4), _dec(1, 8), _dec(3, 10),
                      _dec(7, 100), _dec(123, 1000)]),
     st.just(PiConst(S)),
@@ -59,19 +59,19 @@ def test_parse_basics():
     # left associativity
     e2 = parse_expression("1 - 2 - 3")
     assert e2.op == "-" and isinstance(e2.lhs, BinOp)
-    assert e2.lhs.rhs.value == 2 and e2.rhs.value == 3
+    assert e2.lhs.rhs.num == 2 and e2.rhs.num == 3
     e3 = parse_expression("-sin(pi)")
     assert isinstance(e3, Neg) and isinstance(e3.arg, Call)
 
 
 def test_decimal_literals():
     d = parse_expression("0.50")
-    assert isinstance(d, DecLit) and (d.num, d.den) == (1, 2)
-    assert isinstance(parse_expression("1.25"), DecLit)
+    assert isinstance(d, Num) and (d.num, d.den) == (1, 2)
+    assert isinstance(parse_expression("1.25"), Num)
     assert parse_expression("1.25").num == 5
     # a decimal denoting an integer is the integer node
     two = parse_expression("2.0")
-    assert isinstance(two, IntLit) and two.value == 2
+    assert isinstance(two, Num) and (two.num, two.den) == (2, 1)
     assert format_expr(two) == "2"
 
 
@@ -80,10 +80,10 @@ def test_literals_past_int_str_limit():
     digits = "1234567890" * 500
     exact = 1234567890 * (10 ** 5000 - 1) // (10 ** 10 - 1)
     n = parse_expression(digits)
-    assert isinstance(n, IntLit) and n.value == exact
+    assert isinstance(n, Num) and (n.num, n.den) == (exact, 1)
     assert format_expr(n) == digits
     d = parse_expression("0." + digits)
-    assert isinstance(d, DecLit)
+    assert isinstance(d, Num)
     assert Fraction(d.num, d.den) == Fraction(exact, 10 ** 5000)
     assert format_expr(d) == "0." + digits[:-1]
 
@@ -107,7 +107,7 @@ def test_same_tree_ignores_spans():
 
 def test_same_tree_compares_kinds_values_and_relations():
     assert same_tree(parse_expression("2.50"), parse_expression("2.5"))
-    assert not same_tree(IntLit(2, S), DecLit(2, 1, S))
+    assert not same_tree(Num(2, 1, S), Num(1, 2, S))
     assert not same_tree(parse_expression("-pi"), parse_expression("pi"))
     assert not same_tree(parse_expression("sin(1)"),
                          parse_expression("cos(1)"))
@@ -169,8 +169,8 @@ def test_printer_parenthesizes_only_when_needed():
     assert format_expr(t) == "(1 + 2) * 3"
     t2 = parse_expression("1 + 2 * 3")
     assert format_expr(t2) == "1 + 2 * 3"
-    t3 = BinOp("+", IntLit(1, S),
-               BinOp("+", IntLit(2, S), IntLit(3, S), S), S)
+    t3 = BinOp("+", Num(1, 1, S),
+               BinOp("+", Num(2, 1, S), Num(3, 1, S), S), S)
     assert format_expr(t3) == "1 + (2 + 3)"
     t4 = parse_expression("-(1 + 2)")
     assert format_expr(t4) == "-(1 + 2)"
@@ -261,6 +261,25 @@ def test_nesting_past_the_limit_is_a_parse_error(text, position):
     assert f"deeper than {L} levels" in str(exc.value)
 
 
+# groups nested n deep under binary operators, the parser's deepest
+# walks, and whether each parses; the parser spends four frames per
+# group, and a fifth would overflow Python's stack before the limit
+@pytest.mark.parametrize("prefix,n,parses", [
+    ("1+1*(", L - 1, False), ("1+1*(", L, False),
+    ("1-1/(", L - 1, False), ("1-1/(", L, False),
+    ("1*(", L - 1, True), ("1*(", L, False),
+    ("(", L - 1, True), ("(", L, True),
+])
+def test_nested_groups_end_in_a_tree_or_a_parse_error(prefix, n, parses):
+    text = prefix * n + "1" + ")" * n
+    if parses:
+        e = parse_expression(text)
+        assert same_tree(parse_expression(format_expr(e)), e)
+    else:
+        with pytest.raises(ParseError, match=f"deeper than {L} levels"):
+            parse_expression(text)
+
+
 # -- one node per distinct subterm ------------------------------------------
 
 IDENTITY = "sin(0.62) * sin(0.62) + cos(0.62) * cos(0.62)"
@@ -273,8 +292,8 @@ def test_structure_ids_ignore_spans():
     assert ids[id(q.lhs.lhs)] == ids[id(q.rhs.lhs)]
     assert ids[id(q.lhs.lhs)] != ids[id(q.lhs)]
     assert ids[id(q.lhs.rhs)] == ids[id(q.rhs.rhs)]
-    assert Sharing(q).repeats
-    assert not Sharing(parse_query("exp(1) < 2")).repeats
+    assert Sharing(q).enclosures == {}
+    assert Sharing(parse_query("exp(1) < 2")).enclosures is None
 
 
 def test_elaboration_shares_repeated_subterms():
