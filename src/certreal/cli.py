@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import lang, prover, selftest
 from .dyadic import power_of_two, to_decimal_string
 from .errors import CertRealError, ConformanceError, ResourceExhausted
+from .kernels import PRECISION_LIMIT
 from .prover import Counterexample, outcome_jsonable
 
 DEFAULT_EVAL_DIGITS = 30
@@ -94,11 +95,13 @@ def _start_precision(text: str | None, max_prec: int) -> int:
     if text is None:
         return 1
     limit = max(max_prec, 1)
+    # no precision above PRECISION_LIMIT can run, so none is looked for
+    runs = min(limit, PRECISION_LIMIT)
     # a mantissa shorter than the text lies in [10**-n, 10**n) for
-    # n = len(text), so past n + limit decades the exponent alone
+    # n = len(text), so past n + runs decades the exponent alone
     # decides and the text is read with its exponent digits zeroed,
     # which keeps its syntax and sign
-    far = len(text) + limit
+    far = len(text) + runs
     exp = _EXPONENT.search(text)
     try:
         e = 0 if exp is None else int(exp[1])
@@ -111,17 +114,19 @@ def _start_precision(text: str | None, max_prec: int) -> int:
         raise ValueError("--start-eps must be positive")
     if e > far:
         return 1
-    if e < -far:
-        raise ValueError("--start-eps is finer than --max-prec allows")
     # coarsest dyadic grid at least as fine as the requested width: the
     # least k >= 1 with q <= p * 2**k is the bit-length gap or one more
-    p, q = eps.numerator, eps.denominator
-    k = max(1, q.bit_length() - p.bit_length())
-    if p << k < q:
-        k += 1
-    if k > limit:
-        raise ValueError("--start-eps is finer than --max-prec allows")
-    return k
+    if e >= -far:
+        p, q = eps.numerator, eps.denominator
+        k = max(1, q.bit_length() - p.bit_length())
+        if p << k < q:
+            k += 1
+        if k <= runs:
+            return k
+    if runs < limit:
+        raise ResourceExhausted("--start-eps asks for a precision over the "
+                                f"limit 2^-{PRECISION_LIMIT}")
+    raise ValueError("--start-eps is finer than --max-prec allows")
 
 
 def _fmt_endpoint(d) -> str:

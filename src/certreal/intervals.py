@@ -172,7 +172,7 @@ def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
 
 def _eval(e, w: int, sh) -> Interval:
     # sh is the lang.Sharing of a tree containing e; its enclosures memo,
-    # when there is one, is keyed by (structure id, w)
+    # when there is one, holds calls and pi keyed by (structure id, w)
     from . import lang
 
     if isinstance(e, lang.Num):
@@ -180,18 +180,6 @@ def _eval(e, w: int, sh) -> Interval:
         scaled = e.num << w
         return Interval(dyadic(scaled // e.den, -w),
                         dyadic(-((-scaled) // e.den), -w))
-    if isinstance(e, lang.PiConst):
-        memo = sh.enclosures
-        if memo is not None:
-            key = (sh.ids[id(e)], w)
-            iv = memo.get(key)
-            if iv is not None:
-                return iv
-        iv = from_point_err(kernels.pi_within(w + 2),
-                            power_of_two(-(w + 2)), w)
-        if memo is not None:
-            memo[key] = iv
-        return iv
     if isinstance(e, lang.Neg):
         return ineg(_eval(e.arg, w, sh))
     if isinstance(e, lang.BinOp):
@@ -206,47 +194,55 @@ def _eval(e, w: int, sh) -> Interval:
         if e.op == "/":
             return idiv(a, b, w)
         raise AssertionError(f"unknown operator {e.op!r}")
-    if isinstance(e, lang.Call):
+    if isinstance(e, (lang.Call, lang.PiConst)):
         memo = sh.enclosures
         if memo is not None:
             key = (sh.ids[id(e)], w)
             iv = memo.get(key)
             if iv is not None:
                 return iv
-        # tan is the quotient of sine and cosine enclosures taken from one
-        # enclosure of its argument, four bits finer
-        a = _eval(e.arg, w + 4 if e.fn == "tan" else w, sh)
-        r = power_of_two(-(w + 2))
-        if e.fn == "exp":
-            iv = Interval(round_floor(_exp_point(a.lo, w + 2) - r, w),
-                          round_ceil(_exp_point(a.hi, w + 2) + r, w))
-        elif e.fn == "ln":
-            if a.strictly_negative():
-                raise DomainViolation(
-                    e.arg.span, a,
-                    f"ln argument enclosed by {a}, which is negative")
-            if not a.strictly_positive():
-                raise DomainUndetermined(
-                    w, "ln argument interval does not exclude 0")
-            iv = Interval(round_floor(_ln_point(a.lo, w + 2) - r, w),
-                          round_ceil(_ln_point(a.hi, w + 2) + r, w))
-        elif e.fn in ("sin", "cos"):
-            iv = _sincos_enclosure(a, e.fn == "sin", w)
-        elif e.fn == "tan":
-            si = _sincos_enclosure(a, True, w + 4)
-            co = _sincos_enclosure(a, False, w + 4)
-            if co.contains_zero():
-                raise DomainUndetermined(
-                    w, "cos enclosure for tan does not exclude 0")
-            iv = idiv(si, co, w)
+        if isinstance(e, lang.Call):
+            iv = _call(e, w, sh)
         else:
-            raise AssertionError(f"unknown function {e.fn!r}")
+            iv = from_point_err(kernels.pi_within(w + 2),
+                                power_of_two(-(w + 2)), w)
         if memo is not None:
             memo[key] = iv
         return iv
     if isinstance(e, lang.Query):
         raise TypeError("cannot evaluate a comparison query as a value")
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _call(e, w: int, sh) -> Interval:
+    # the enclosure of the call e at w, for _eval to memoize; tan is the
+    # quotient of sine and cosine enclosures taken from one enclosure of
+    # its argument, four bits finer
+    a = _eval(e.arg, w + 4 if e.fn == "tan" else w, sh)
+    r = power_of_two(-(w + 2))
+    if e.fn == "exp":
+        return Interval(round_floor(_exp_point(a.lo, w + 2) - r, w),
+                        round_ceil(_exp_point(a.hi, w + 2) + r, w))
+    if e.fn == "ln":
+        if a.strictly_negative():
+            raise DomainViolation(
+                e.arg.span, a,
+                f"ln argument enclosed by {a}, which is negative")
+        if not a.strictly_positive():
+            raise DomainUndetermined(
+                w, "ln argument interval does not exclude 0")
+        return Interval(round_floor(_ln_point(a.lo, w + 2) - r, w),
+                        round_ceil(_ln_point(a.hi, w + 2) + r, w))
+    if e.fn in ("sin", "cos"):
+        return _sincos_enclosure(a, e.fn == "sin", w)
+    if e.fn == "tan":
+        si = _sincos_enclosure(a, True, w + 4)
+        co = _sincos_enclosure(a, False, w + 4)
+        if co.contains_zero():
+            raise DomainUndetermined(
+                w, "cos enclosure for tan does not exclude 0")
+        return idiv(si, co, w)
+    raise AssertionError(f"unknown function {e.fn!r}")
 
 
 @dataclass(frozen=True, slots=True)

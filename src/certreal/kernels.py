@@ -29,14 +29,22 @@ Argument ranges are preconditions, not checked here: exp needs
 The range bounds make every term ratio at most ~2/3, which is what
 justifies stopping on term decay.
 
+The caps come from the tail bounds of "Binary splitting" below, which
+grow with |x|: ``_cap_exp(t)`` is the term count of the exp series at
+x = 5/8, and ``_cap_sin(t)`` and ``_cap_cos(t)`` those of the sin and
+cos series at x = 9/8, so one written bound serves both kernel
+families.  ``_cap_ln1p(t)``, for a series with no splitting instance,
+is the least n >= 1 with (5/8)**n (8/3) / n <= 2**-(t+1).
+
 Wrappers
 --------
 ``exp_within``, ``sin_within``, ``cos_within`` and ``ln1p_within``
 take a dyadic argument in the kernel's range and a target t, and
-return a dyadic within 2**-t of the function value.  The cap makes the
-analytic tail at most 2**-(t+1); the width w = t + 2 +
-bitlen(8*cap + 16) puts the blanket and the half-ulp rounding of the
-argument below 2**-(t+1) as well.
+return a dyadic within 2**-t of the function value.  The cap at t
+(``_cap_exp``, ``_cap_sin``, ``_cap_cos`` or ``_cap_ln1p``, from the
+bounds named under "Kernels") makes the analytic tail at most
+2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
+and the half-ulp rounding of the argument below 2**-(t+1) as well.
 
 Reductions
 ----------
@@ -361,16 +369,9 @@ def ln1p_series(t: int, w: int, cap: int) -> int:
 
 # -- term caps ------------------------------------------------------------
 #
-# Each cap is the number of series iterations after which the exact
-# remainder is at most 2**-(t+1) over the kernel's whole argument range:
-# the least n at which an exact integer inequality "bound(n) <= 2**-(t+1)"
-# holds.  Every bound shrinks strictly with n, its successive ratio being
-# 5/(8(n+1)) for exp, (9/8)**2/((2n+2)(2n+3)) for sin,
-# (9/8)**2/((2n+1)(2n+2)) for cos and (5/8)(n+1)/(n+2) for ln1p.  So
-# each inequality, once true, stays true, and _least finds the first n
-# where it holds by doubling and bisection: O(log n) exact checks of one
-# big product each.  Binary splitting counts its terms the same way
-# ("Binary splitting" above), but from a close guess.
+# 5/8 and 9/8 are the kernels' range bounds, and every tail bound of
+# "Binary splitting" grows with |x|, so the splitting series' term count
+# there bounds the remainder over the whole range ("Kernels" above).
 
 # Each cap is a pure function of t, and the deepening loops ask for the
 # same few hundred widths over and over; the memo is bounded, so a
@@ -410,27 +411,23 @@ def _least(done, guess: int = 0) -> int:
 
 @lru_cache(maxsize=_CAP_MEMO)
 def _cap_exp(t: int) -> int:
-    # remainder after n terms at |r| <= 5/8 is < 2 * (5/8)**n / n!
-    return _least(lambda n: 5 ** n << (t + 2) <= factorial(n) << 3 * n)
+    return _count(_exp(t, 5, 8))
 
 
 @lru_cache(maxsize=_CAP_MEMO)
 def _cap_sin(t: int) -> int:
-    # first omitted term at |r| <= 9/8 is (9/8)**(2n+1) / (2n+1)!
-    return _least(lambda n: 9 ** (2 * n + 1) << (t + 1)
-                  <= factorial(2 * n + 1) << 3 * (2 * n + 1))
+    return _count(_sin(t, 9, 8))
 
 
 @lru_cache(maxsize=_CAP_MEMO)
 def _cap_cos(t: int) -> int:
-    # first omitted term at |r| <= 9/8 is (9/8)**(2n) / (2n)!
-    return _least(lambda n: 9 ** (2 * n) << (t + 1)
-                  <= factorial(2 * n) << 6 * n)
+    return _count(_cos(t, 9, 8))
 
 
 @lru_cache(maxsize=_CAP_MEMO)
 def _cap_ln1p(t: int) -> int:
-    # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1)
+    # remainder after n terms at |v| <= 5/8 is < (5/8)**(n+1) * 8/3 / (n+1),
+    # which shrinks with n by the ratio (5/8)(n+1)/(n+2)
     return 1 + _least(lambda n: 5 ** (n + 1) << (t + 4)
                       <= 3 * (n + 1) << 3 * (n + 1))
 

@@ -146,6 +146,7 @@ def test_criterion_6_conformance_and_fault_injection():
                       "an injected rounding bug is caught"):
         report = selftest.run()
         assert report.passed, report.summary()
+        assert report.unconverged == 0, report.summary()
         assert len(report.checks) == 200 * len(selftest.FULL_PRECISIONS)
 
         # inject a one-ulp upward bias into the approximation backend's

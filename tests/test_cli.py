@@ -12,7 +12,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from certreal import ConformanceError, cli, lang, prover
+from certreal import (ConformanceError, ResourceExhausted, cli, kernels,
+                      lang, prover)
 from certreal.cli import main
 from certreal.dyadic import decimal_to_int
 
@@ -118,6 +119,21 @@ def test_start_precision_with_an_exponent_matches_a_scan(max_prec):
     for text in texts:
         assert _outcome(cli._start_precision, text, max_prec) == \
             _outcome(_start_precision_by_fraction, text, max_prec), text
+
+
+def test_start_precision_past_the_precision_limit():
+    # no precision over PRECISION_LIMIT can run: with --max-prec above
+    # the limit a finer width is a spent budget, and at the limit it is
+    # the usage error of any --max-prec
+    big = 10 ** 8
+    limit = kernels.PRECISION_LIMIT
+    assert limit == 1 << 22     # the grid of 10**-1262611 is 2**-4194303
+    assert cli._start_precision("1e-1262611", big) == limit - 1
+    for text in ("1e-1262612", "1e-10000000"):
+        with pytest.raises(ResourceExhausted, match="over the limit"):
+            cli._start_precision(text, big)
+        with pytest.raises(ValueError, match="finer than --max-prec"):
+            cli._start_precision(text, limit)
 
 
 def test_prove_interval_backend(capsys):
@@ -279,7 +295,10 @@ def test_eval_precision_is_the_power_of_ten_bit_length():
     (("prove", "1 < 2", "--start-eps", "1e-100000000"), 3,
      "--start-eps is finer than --max-prec allows"),
     (("prove", "1 < 2", "--start-eps", "1e100000000"), 0, ""),
-], ids=["digits", "tiny-start-eps", "huge-start-eps"])
+    (("prove", "1 < 2", "--max-prec", "100000000",
+      "--start-eps", "1e-10000000"), 2, "over the limit"),
+], ids=["digits", "tiny-start-eps", "huge-start-eps",
+        "start-eps-past-the-precision-limit"])
 def test_huge_numbers_are_refused_before_a_power_of_ten(args, code, message):
     # building 10**(10**8) alone would take minutes
     proc = _run_module(*args, timeout=20)

@@ -182,6 +182,83 @@ def test_eval_interval_domain_failures():
         eval_interval(lang.parse_expression("tan(pi / 2)"), 10)
 
 
+def _far_exp_bounds(lo, hi, bits):
+    # exp over [lo, hi] past exp_bounds' range |x| <= 16, as exp(x / 8)**8
+    return oracles.snap_outward(
+        oracles.exp_bounds(Fraction(lo) / 8, bits)[0] ** 8,
+        oracles.exp_bounds(Fraction(hi) / 8, bits)[1] ** 8, bits + 64)
+
+
+def _tower_bounds(bits):
+    # exp(exp(exp(1.5))), whose outer argument is near 88.2
+    return _far_exp_bounds(*oracles.eval_expr_bounds(
+        lang.parse_expression("exp(exp(1.5))"), bits), bits)
+
+
+def _ln_exp_20_bounds(bits):
+    # ln(exp(-20)), taking ln of both ends of the inner enclosure
+    lo, hi = _far_exp_bounds(-20, -20, bits)
+    return oracles.ln_bounds(lo, bits)[0], oracles.ln_bounds(hi, bits)[1]
+
+
+def _expr_bounds(text):
+    return lambda bits: oracles.eval_expr_bounds(
+        lang.parse_expression(text), bits)
+
+
+# each case with its passes at the widths k + 12, 2k + 24 and 4k + 48
+# (True if the enclosure is within 2**(1-k), False if it is wider, None
+# if the pass raised DomainUndetermined) and its oracle, if it returns
+RETRY_CASES = {
+    "second-width": ("exp(exp(2.5))", 10, [(22, False), (44, True)],
+                     _expr_bounds("exp(exp(2.5))")),
+    "third-width": ("exp(exp(exp(1.5)))", 50,
+                    [(62, False), (124, False), (248, True)],
+                    _tower_bounds),
+    "unconverged": ("exp(exp(exp(1.5)))", 10,
+                    [(22, False), (44, False), (88, False)],
+                    _tower_bounds),
+    "domain-retry": ("ln(exp(0 - 20))", 1,
+                     [(13, None), (26, None), (52, True)],
+                     _ln_exp_20_bounds),
+    "domain-undetermined": ("ln(exp(0 - 200))", 1,
+                            [(13, None), (26, None), (52, None)], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRY_CASES))
+def test_retry_schedule(case, monkeypatch):
+    text, k, passes, bounds = RETRY_CASES[case]
+    e = lang.parse_expression(text)
+    honest = intervals._eval
+    seen = []
+
+    def recording(node, w, sh):
+        if node is not e:
+            return honest(node, w, sh)
+        try:
+            iv = honest(node, w, sh)
+        except DomainUndetermined:
+            seen.append((w, None))
+            raise
+        seen.append((w, iv.width() <= dyadic(1, 1 - k)))
+        return iv
+
+    monkeypatch.setattr(intervals, "_eval", recording)
+    if bounds is None:
+        with pytest.raises(DomainUndetermined):
+            eval_interval(e, k)
+        assert seen == passes
+        return
+    res = eval_interval(e, k)
+    assert seen == passes
+    assert res.converged == passes[-1][1]
+    # converged or not, the enclosure holds the oracle's, taken far finer
+    lo, hi = bounds(k + 240)
+    assert res.interval.lo.as_fraction() <= lo
+    assert hi <= res.interval.hi.as_fraction()
+
+
 def test_sin_cos_enclosures_stay_in_unit_range():
     for text in ("sin(1000000)", "cos(123456)"):
         res = eval_interval(lang.parse_expression(text), 8)

@@ -137,6 +137,17 @@ def test_cap_equals_linear_scan(name):
         assert cap(t) == reference(t), t
 
 
+@pytest.mark.parametrize("name,p,q", [("exp", 5, 8), ("sin", 9, 8),
+                                      ("cos", 9, 8)])
+def test_cap_is_the_split_count_at_the_range_bound(name, p, q):
+    # the kernels' caps are the splitting series' term counts at the
+    # range bound; the two reference scans must agree on that
+    cap = getattr(oracles, "_cap_" + name)
+    count = getattr(oracles, f"_cap_{name}_split")
+    for t in _cap_targets():
+        assert cap(t) == count(t, p, q), t
+
+
 # the Machin pair, both ends of atan_rat's range, zero, and two others
 _ATAN_ARGS = [(1, 5), (1, 239), (1, 2), (-1, 2), (0, 3), (3, 7), (-2, 5)]
 
