@@ -21,13 +21,25 @@ as an integer mantissa and exponent, adds each term by one integer
 alignment, and extends that prefix as precision deepens, so each such
 term is computed once; the partial sum is rounded once, at the end.
 
-Internally each node computes a slightly better "raw" approximation
-(error at most 2**-j for requested j), kept in one memo keyed by
-precision.  approx(x, k) is derived from raw(k+2) by one grid
-rounding and is not memoized itself.  Because _compute is
-deterministic, two threads that race on a miss store the identical
-value, and no cache can make approx(x, k) depend on what was computed
-before.
+Internally each node computes a slightly better "raw" approximation,
+kept in one memo keyed by precision.  raw(j) is a plain int n, meaning
+n * 2**-(j+2), within 2**-j of the exact value, as in Boehm's
+constructive reals, whose get_appr(p) is an integer scaled by 2**p;
+ring operations, reciprocals, limits and series build no BigDyadic.
+Every node that rounds puts its raw value on the 2**-(j+1) grid and a
+reciprocal on the 2**-(j+2) grid, so the scale 2**-(j+2) holds them
+all exactly.  Two nodes round onto it instead, each within its budget:
+a limit whose element's raw value lies off its grid, and a scaling by
+2**s read at a negative precision j + s.  Each rounding is one call of
+grid_round, on integers.  approx(x, k) is derived from raw(k+2) by one
+grid rounding,
+
+    approx(x, k) = dyadic(grid_round(raw(k+2), k+4, k+1), -(k+1)),
+
+and is not memoized itself; a BigDyadic appears only there and at the
+kernels' boundary (functions.py).  Because _compute is deterministic,
+two threads that race on a miss store the identical value, and no
+cache can make approx(x, k) depend on what was computed before.
 
 Strict comparisons are only semi-decidable: cmp_semidecide deepens
 precision along an exponential schedule and reports Proved or Refuted
@@ -42,22 +54,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import dyadic as _dy
-from .dyadic import (BigDyadic, ONE, ZERO, add_aligned, div_nearest,
-                     dyadic, power_of_two, round_to)
-from .errors import InvalidCertificate, ResourceExhausted
-from .intervals import Interval
+from .dyadic import (_ALIGN_LIMIT, BigDyadic, Interval, add_aligned,
+                     div_nearest, dyadic, power_of_two, shift_nearest)
+from .errors import ExponentOverflow, InvalidCertificate, ResourceExhausted
 from .kernels import PRECISION_LIMIT
 
 
-def grid_round(a: BigDyadic, k: int) -> BigDyadic:
-    """Single rounding chokepoint for this backend.
+def grid_round(n: int, a: int, k: int) -> int:
+    """n * 2**-a rounded to the nearest point of the 2**-k grid, ties to
+    even, as the integer q with value q * 2**-k.
 
-    Every grid rounding in the approximation backend goes through here
-    (the interval backend does not), so conformance fault tests can
+    The single rounding chokepoint of this backend.  Every grid
+    rounding in the approximation backend goes through here, each
+    caller looking it up as a module global (the interval backend
+    uses dyadic.round_scaled instead), so conformance fault tests can
     corrupt it in one place and watch the cross-check catch it.
     """
-    return round_to(a, k)
+    # round_scaled's rule without its span guard: every span here is a
+    # precision budget, except in _Series, which checks its own
+    if a <= k:
+        return n << (k - a)
+    return shift_nearest(n, a - k)
+
+
+def _log2_bound(h: int) -> int:
+    """The least a with |approx(x, 0)| + 1 <= 2**a, from h = x._grid(0);
+    then |x| <= 2**a as well."""
+    # approx(x, 0) = h / 2, and ceil(log2((|h| + 2) / 2)) for an int
+    # |h| + 2 >= 2 is the bit length of |h| + 1, less one
+    return (abs(h) + 1).bit_length() - 1
+
+
+def _scaled(q: BigDyadic, k: int) -> int:
+    """approx(k) = q as the int n with q = n * 2**-(k+1)."""
+    return q.mantissa << (q.exponent + k + 1)
 
 
 def _checked_precision(j: int) -> int:
@@ -73,9 +103,9 @@ def _checked_precision(j: int) -> int:
 class CReal:
     """Base class; concrete nodes implement _compute(j).
 
-    _compute(j) must return a dyadic within 2**-j of the exact value.
-    It has no grid obligation; the public approx() does the final
-    rounding.
+    _compute(j) must return the int n with n * 2**-(j+2) within 2**-j
+    of the exact value.  It has no grid obligation beyond that scale;
+    the public approx() does the final rounding.
     """
 
     __slots__ = ("_raw_memo",)
@@ -86,10 +116,14 @@ class CReal:
     def approx(self, k: int) -> BigDyadic:
         """Dyadic approximation with |x - approx(x, k)| <= 2**-k."""
         _checked_precision(k)
-        # raw error 2**-(k+2) plus half a 2**-(k+1) grid step
-        return grid_round(self._raw(k + 2), k + 1)
+        return dyadic(self._grid(k), -(k + 1))
 
-    def _raw(self, j: int) -> BigDyadic:
+    def _grid(self, k: int) -> int:
+        """approx(k) as the int n with approx(k) = n * 2**-(k+1)."""
+        # raw error 2**-(k+2) plus half a 2**-(k+1) grid step
+        return grid_round(self._raw(k + 2), k + 4, k + 1)
+
+    def _raw(self, j: int) -> int:
         # dict get and setdefault are each atomic; a lost race stores
         # the identical value, so no lock is needed
         v = self._raw_memo.get(j)
@@ -98,7 +132,7 @@ class CReal:
             v = self._raw_memo.setdefault(j, self._compute(j))
         return v
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         raise NotImplementedError
 
     # Convenience operators for ring operations.  Division is not an
@@ -147,10 +181,9 @@ class _Const(CReal):
         super().__init__()
         self.value = value
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         p, q = self.value.numerator, self.value.denominator
-        v = dyadic(div_nearest(p << (j + 3), q), -(j + 3))
-        return grid_round(v, j + 1)
+        return grid_round(div_nearest(p << (j + 3), q), j + 3, j + 1) << 1
 
 
 def const(num, den=1) -> CReal:
@@ -165,8 +198,10 @@ class _Add(CReal):
         super().__init__()
         self.x, self.y = x, y
 
-    def _compute(self, j: int) -> BigDyadic:
-        return grid_round(self.x._raw(j + 2) + self.y._raw(j + 2), j + 1)
+    def _compute(self, j: int) -> int:
+        # operands within 2**-(j+2) each, the rounding 2**-(j+2)
+        return grid_round(self.x._raw(j + 2) + self.y._raw(j + 2),
+                          j + 4, j + 1) << 1
 
 
 class _Sub(CReal):
@@ -176,8 +211,9 @@ class _Sub(CReal):
         super().__init__()
         self.x, self.y = x, y
 
-    def _compute(self, j: int) -> BigDyadic:
-        return grid_round(self.x._raw(j + 2) - self.y._raw(j + 2), j + 1)
+    def _compute(self, j: int) -> int:
+        return grid_round(self.x._raw(j + 2) - self.y._raw(j + 2),
+                          j + 4, j + 1) << 1
 
 
 class _Neg(CReal):
@@ -187,7 +223,7 @@ class _Neg(CReal):
         super().__init__()
         self.x = x
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         return -self.x._raw(j)
 
 
@@ -200,8 +236,16 @@ class _Scale2(CReal):
         super().__init__()
         self.x, self.s = x, s
 
-    def _compute(self, j: int) -> BigDyadic:
-        return self.x._raw(max(0, j + self.s)).scale2(self.s)
+    def _compute(self, j: int) -> int:
+        s = self.s
+        if j + s >= 0:
+            # raw(j + s) of x is n 2**-(j+s+2), so 2**s x is the same n at
+            # scale 2**-(j+2), within 2**s 2**-(j+s) = 2**-j
+            return self.x._raw(j + s)
+        # x read at 0 is within 1, so 2**s raw(0) is within
+        # 2**s <= 2**-(j+1); rounding it to the 2**-(j+2) grid adds
+        # 2**-(j+3): 2**-(j+1) + 2**-(j+3) < 2**-j
+        return grid_round(self.x._raw(0), 2 - s, j + 2)
 
 
 class _Mul(CReal):
@@ -211,11 +255,11 @@ class _Mul(CReal):
         super().__init__()
         self.x, self.y = x, y
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         # magnitude bounds from coarse approximations drive the operand
         # precisions:  |x| <= |approx(x,0)| + 1 <= 2**ax
         x, y = self.x, self.y
-        ax = (abs(x.approx(0)) + ONE).ceil_log2()
+        ax = _log2_bound(x._grid(0))
         if x is y:
             # a square reads its operand once, at j + 3 + ax, and so
             # hits its own memo: with d = 2**-(j+3+ax),
@@ -223,11 +267,11 @@ class _Mul(CReal):
             #                 = 2**-(j+2) + d**2,
             # and the rounding adds 2**-(j+2), within 2**-j in all
             v = x._raw(j + 3 + ax)
-            return grid_round(v * v, j + 1)
-        ay = (abs(y.approx(0)) + ONE).ceil_log2()
-        xv = x._raw(j + 2 + ay)
-        yv = y._raw(j + 3 + ax)
-        return grid_round(xv * yv, j + 1)
+            return grid_round(v * v, 2 * (j + 5 + ax), j + 1) << 1
+        ay = _log2_bound(y._grid(0))
+        # the operands' scales are 2**-(j+4+ay) and 2**-(j+5+ax)
+        return grid_round(x._raw(j + 2 + ay) * y._raw(j + 3 + ax),
+                          2 * j + 9 + ax + ay, j + 1) << 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,8 +296,9 @@ class ApartnessCertificate:
     def revalidate(self, x: CReal) -> bool:
         """Recheck the witness against x by one approximation call."""
         k = self.witness_precision
-        q = x.approx(k)
-        return q.sign() == self.sign and abs(q) > power_of_two(1 - k)
+        # |approx(k)| > 2 * 2**-k is |n| > 4 for approx(k) = n 2**-(k+1)
+        n = _scaled(x.approx(k), k)
+        return (n > 4 and self.sign > 0) or (n < -4 and self.sign < 0)
 
     def lower_bound(self) -> BigDyadic:
         """|x| exceeds this bound whenever the certificate is valid."""
@@ -271,23 +316,16 @@ class _Recip(CReal):
                 f"sign={cert.sign:+d}) does not hold for this real")
         self.x, self.cert = x, cert
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         c = self.cert.witness_precision
         # |x| > 2**-c, so at operand precision p the relative setup gives
         # |1/x - 1/xv| <= 2**(2c - p + 1); p = j + 2c + 3 puts that at
-        # 2**-(j+2)
-        xv = self.x._raw(j + 2 * c + 3)
-        assert not xv.is_zero()
-        g = j + 2
-        m, e = xv.mantissa, xv.exponent
-        sgn = 1 if m > 0 else -1
-        ma = abs(m)
-        shift = g - e
-        if shift >= 0:
-            n = div_nearest(1 << shift, ma)
-        else:
-            n = div_nearest(1, ma << -shift)
-        return dyadic(sgn * n, -g)
+        # 2**-(j+2), and the nearest point of the 2**-(j+2) grid to
+        # 1/xv = 2**(j+2c+5) / n adds 2**-(j+3)
+        n = self.x._raw(j + 2 * c + 3)
+        assert n != 0
+        q = div_nearest(1 << (2 * j + 2 * c + 7), abs(n))
+        return q if n > 0 else -q
 
 
 def recip(x: CReal, cert: ApartnessCertificate) -> CReal:
@@ -312,7 +350,7 @@ class _Lim(CReal):
         super().__init__()
         self.seq, self.modulus = seq, modulus
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         n = self.modulus(j + 1)
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"modulus returned {n!r}, want an int >= 0")
@@ -320,8 +358,14 @@ class _Lim(CReal):
         if not isinstance(u, CReal):
             raise TypeError("sequence must produce CReal values")
         # |L - seq(n)| <= 2**-(j+1) by the modulus contract, plus the
-        # approximation error of seq(n) itself
-        return u._raw(j + 1)
+        # error of seq(n)'s raw(j+1), 2**-(j+1); that raw value is
+        # v 2**-(j+3), the same point at scale 2**-(j+2) when v is even
+        v = u._raw(j + 1)
+        if v & 1 == 0:
+            return v >> 1
+        # off that grid (an element that is a reciprocal, say): its
+        # approx(j+1), on the 2**-(j+2) grid and within 2**-(j+1) too
+        return u._grid(j + 1)
 
 
 def lim(seq: Callable[[int], CReal], modulus: Callable[[int], int]) -> CReal:
@@ -339,9 +383,9 @@ class _Series(CReal):
     # 0 .. count-1, all of them exact dyadics, kept as a bare canonical
     # integer pair.  Each term, and each CReal term's raw value after
     # the prefix, is added by one integer alignment (dyadic.add_aligned),
-    # and one BigDyadic is built for the single final rounding.  Any
-    # stored prefix is exact, so one that a racing thread stores
-    # instead changes no result.
+    # and the sum is rounded once, by grid_round.  Any stored prefix is
+    # exact, so one that a racing thread stores instead changes no
+    # result.
     __slots__ = ("terms", "tail_bound", "_prefix")
 
     def __init__(self, terms, tail_bound):
@@ -349,12 +393,12 @@ class _Series(CReal):
         self.terms, self.tail_bound = terms, tail_bound
         self._prefix = (0, 0, 0)
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         n = self.tail_bound(j + 1)
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"tail_bound returned {n!r}, want an int >= 0")
         if n == 0:
-            return ZERO
+            return 0
         # split the 2**-j budget: 2**-(j+1) tail, 2**-(j+2) across the
         # CReal terms read at q (exact terms add no error), 2**-(j+2)
         # for the final rounding
@@ -371,13 +415,18 @@ class _Series(CReal):
                                     "values")
                 if prefix is None:
                     prefix = (i, m, e)
-                t = t._raw(q)
-            m, e = add_aligned(m, e, t.mantissa, t.exponent)
+                m, e = add_aligned(m, e, t._raw(q), -(q + 2))
+            else:
+                m, e = add_aligned(m, e, t.mantissa, t.exponent)
         if prefix is None:
             prefix = (n, m, e)
         if prefix[0] > self._prefix[0]:
             self._prefix = prefix
-        return grid_round(dyadic(m, e), j + 1)
+        if e > 0:
+            m, e = m << e, 0
+        elif -e - j - 1 > _ALIGN_LIMIT:
+            raise ExponentOverflow(f"rounding span {-e - j - 1} too large")
+        return grid_round(m, -e, j + 1) << 1
 
 
 def series_sum(terms: Callable[[int], CReal | BigDyadic],
@@ -419,9 +468,12 @@ def find_apart(x: CReal, start_k: int = 1, max_k: int = 60):
     means |x| <= 2 * 2**-max_k could not be excluded within the budget.
     """
     for k in deepening_schedule(start_k, max_k):
-        q = x.approx(k)
-        if abs(q) > power_of_two(1 - k):
-            return ApartnessCertificate(k, q.sign())
+        # |approx(k)| > 2 * 2**-k is |n| > 4 for approx(k) = n 2**-(k+1)
+        n = _scaled(x.approx(k), k)
+        if n > 4:
+            return ApartnessCertificate(k, 1)
+        if n < -4:
+            return ApartnessCertificate(k, -1)
     return None
 
 
@@ -487,9 +539,10 @@ class Exhausted:
 ProofOutcome = Proved | Refuted | Exhausted
 
 
-def _enclosure(q: BigDyadic, k: int) -> Interval:
-    r = power_of_two(-k)
-    return Interval(q - r, q + r)
+def _enclosure(x: CReal, k: int) -> Interval:
+    """[approx(x, k) - 2**-k, approx(x, k) + 2**-k]."""
+    n = _scaled(x.approx(k), k)
+    return Interval(dyadic(n - 2, -(k + 1)), dyadic(n + 2, -(k + 1)))
 
 
 def _deepen(enclose, relation: str, backend: str,
@@ -526,8 +579,7 @@ def cmp_semidecide(x: CReal, y: CReal, start_k: int = 1,
     overlap, in which case precision deepens.  Equal numbers always end
     Exhausted; that outcome proves nothing.
     """
-    return _deepen(lambda k: (_enclosure(x.approx(k), k),
-                              _enclosure(y.approx(k), k)),
+    return _deepen(lambda k: (_enclosure(x, k), _enclosure(y, k)),
                    relation, "approx", start_k, max_k)
 
 

@@ -13,6 +13,10 @@ budget for.
 BigDyadic keeps the frozen dataclass's equality, hashing, pickling and
 read-only fields, but the hot paths build it through the slot
 descriptors (_make), and compare takes one aligned integer difference.
+Where a value lives on a known grid, the package carries it as a bare
+integer scaled by a power of two instead; round_scaled rounds such an
+integer to a coarser grid.  Interval, a closed interval of two
+dyadics, is the enclosure type of both evaluation backends.
 """
 
 from __future__ import annotations
@@ -297,18 +301,19 @@ def shift_nearest(a: int, s: int) -> int:
     return q
 
 
-def round_to(a: BigDyadic, k: int) -> BigDyadic:
-    """Round to the grid of spacing 2**-k, nearest, ties to even mantissa.
+def round_scaled(n: int, a: int, k: int) -> int:
+    """n * 2**-a rounded to the grid of spacing 2**-k, nearest, ties to
+    even, as the integer q with value q * 2**-k.
 
-    The result q satisfies |q - a| <= 2**-(k+1) and has exponent >= -k.
+    |q 2**-k - n 2**-a| <= 2**-(k+1), and a value already on the grid
+    (a <= k) is only shifted.  A rounding span a - k over _ALIGN_LIMIT
+    raises ExponentOverflow.
     """
-    m, e = a.mantissa, a.exponent
-    if m == 0 or e >= -k:
-        return a
-    shift = -k - e
-    if shift > _ALIGN_LIMIT:
-        raise ExponentOverflow(f"rounding span {shift} too large")
-    return dyadic(shift_nearest(m, shift), -k)
+    if a <= k:
+        return n << (k - a)
+    if a - k > _ALIGN_LIMIT:
+        raise ExponentOverflow(f"rounding span {a - k} too large")
+    return shift_nearest(n, a - k)
 
 
 def round_floor(a: BigDyadic, k: int) -> BigDyadic:
@@ -335,6 +340,46 @@ def clamp_unit(v: BigDyadic) -> BigDyadic:
     if v < MINUS_ONE:
         return MINUS_ONE
     return v
+
+
+@dataclass(frozen=True, slots=True)
+class Interval:
+    """Closed interval [lo, hi] with exact dyadic endpoints."""
+
+    lo: BigDyadic
+    hi: BigDyadic
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+
+    def width(self) -> BigDyadic:
+        return self.hi - self.lo
+
+    def midpoint(self) -> BigDyadic:
+        """Exact midpoint (dyadics are closed under halving)."""
+        return (self.lo + self.hi).scale2(-1)
+
+    def radius(self) -> BigDyadic:
+        return (self.hi - self.lo).scale2(-1)
+
+    def contains(self, v: BigDyadic) -> bool:
+        return self.lo <= v <= self.hi
+
+    def intersects(self, other: "Interval") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def strictly_positive(self) -> bool:
+        return self.lo.sign() > 0
+
+    def strictly_negative(self) -> bool:
+        return self.hi.sign() < 0
+
+    def contains_zero(self) -> bool:
+        return self.lo.sign() <= 0 <= self.hi.sign()
+
+    def __str__(self) -> str:
+        return f"[{self.lo}, {self.hi}]"
 
 
 # Decimal conversion by divide and conquer on powers of ten.  Python's

@@ -6,9 +6,12 @@ of the argument and hands the rest to the shared kernels layer
 argument at the precision their budget needs and return a value within
 2**-(j+1), and the constants, atan_rat, and exp, sin, cos and ln of a
 literal (where the kernels' predicates say it pays) to its binary
-splitting.  Every rounding here goes through creal.grid_round,
-looked up at each call, and the last one puts the result within 2**-j
-of the true value.
+splitting.  The kernels take and return dyadics at their boundary:
+a node hands them its argument's raw values as dyadics (``_reader``)
+and turns their result back into a raw value, an int at scale
+2**-(j+2), by one rounding to the 2**-(j+1) grid (``_to_raw``).  Every
+rounding here goes through creal.grid_round, looked up at each call,
+and the last one puts the result within 2**-j of the true value.
 
 Everything is integer arithmetic; there is no float anywhere on these
 paths, so results are deterministic bit for bit.
@@ -21,9 +24,20 @@ from typing import Callable
 from . import creal as _cr
 from . import kernels
 from .creal import ApartnessCertificate, CReal, const, lim, series_sum
-from .dyadic import BigDyadic, ONE
+from .dyadic import BigDyadic, dyadic
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
+
+
+def _reader(x: CReal) -> Callable[[int], BigDyadic]:
+    """x's raw values as dyadics: the kernels' arg(s), within 2**-s."""
+    raw = x._raw
+    return lambda s: dyadic(raw(s), -(s + 2))
+
+
+def _to_raw(v: BigDyadic, j: int) -> int:
+    """v rounded to the 2**-(j+1) grid, as a raw value at j."""
+    return _cr.grid_round(v.mantissa, -v.exponent, j + 1) << 1
 
 
 def _literal(x: CReal):
@@ -45,18 +59,18 @@ class _Exp(CReal):
         super().__init__()
         self.x = x
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         lit = _literal(self.x)
         if lit is not None and kernels.literal_split_pays(lit, j):
             # binary splitting within 2**-(j+2), the rounding 2**-(j+2)
             v = kernels.exp_split(lit.numerator, lit.denominator, j + 2)
-            return _cr.grid_round(v, j + 1)
-        q0 = self.x.approx(0)
-        # |x| <= |q0| + 1 and x <= ceil(q0) + 1
-        a = (abs(q0) + ONE).ceil_log2()
-        v = kernels.exp_reduced(self.x._raw, q0.ceil() + 1, a, j + 1,
-                                _cr.grid_round)
-        return _cr.grid_round(v, j + 1)
+            return _to_raw(v, j)
+        # q0 = approx(x, 0) = h / 2: |x| <= |q0| + 1 and
+        # x <= ceil(q0) + 1 = (h + 1) // 2 + 1
+        h = self.x._grid(0)
+        v = kernels.exp_reduced(_reader(self.x), ((h + 1) >> 1) + 1,
+                                _cr._log2_bound(h), j + 1, _cr.grid_round)
+        return _to_raw(v, j)
 
 
 class _SinCos(CReal):
@@ -67,17 +81,19 @@ class _SinCos(CReal):
         self.x = x
         self.want_sin = want_sin
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         lit = _literal(self.x)
         if lit is not None and kernels.literal_split_pays(lit, j):
             # as for exp
             v = kernels.sincos_split(lit.numerator, lit.denominator, j + 2,
                                      self.want_sin)
-            return _cr.grid_round(v, j + 1)
-        bound = abs(self.x.approx(0)) + ONE
-        v = kernels.sincos_reduced(self.x._raw, bound, j + 1, self.want_sin,
-                                   _cr.grid_round)
-        return _cr.grid_round(v, j + 1)
+            return _to_raw(v, j)
+        # |x| <= |approx(x, 0)| + 1 = (|h| + 2) / 2, at most the int
+        # (|h| + 3) // 2
+        bound = (abs(self.x._grid(0)) + 3) >> 1
+        v = kernels.sincos_reduced(_reader(self.x), bound, j + 1,
+                                   self.want_sin, _cr.grid_round)
+        return _to_raw(v, j)
 
 
 class _Ln(CReal):
@@ -95,7 +111,7 @@ class _Ln(CReal):
                 f"does not hold for the ln argument")
         self.x, self.cert = x, cert
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         a = _literal(self.x)
         if a is not None:
             # an exact rational whose window leaves a short atanh
@@ -108,11 +124,11 @@ class _Ln(CReal):
                 v = v.scale2(1)
                 if e != 0:
                     tl = budget(j + 2 + abs(e).bit_length())
-                    v = v + _ln2()._raw(tl).mul_int(e)
-                return _cr.grid_round(v, j + 1)
-        v = kernels.ln_reduced(self.x._raw, self.cert.witness_precision,
-                               j + 1, _ln2()._raw)
-        return _cr.grid_round(v, j + 1)
+                    v = v + dyadic(e * _ln2()._raw(tl), -(tl + 2))
+                return _to_raw(v, j)
+        v = kernels.ln_reduced(_reader(self.x), self.cert.witness_precision,
+                               j + 1, _reader(_ln2()))
+        return _to_raw(v, j)
 
 
 # Raw values a ladder node keeps before it starts its memo over.
@@ -134,7 +150,7 @@ class _Ladder(CReal):
         self.within = within
         self._rungs: dict = {}
 
-    def _raw(self, j: int) -> BigDyadic:
+    def _raw(self, j: int) -> int:
         # a stream of fresh precisions would grow the shared node's memo
         # by a value each; past _LADDER_MEMO values it starts over, and
         # a value it dropped costs one grid rounding of a kept rung
@@ -143,13 +159,13 @@ class _Ladder(CReal):
             memo.clear()
         return super()._raw(j)
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         rung = kernels.ladder_rung(j)
         # get and setdefault are each atomic, as in CReal._raw
         v = self._rungs.get(rung)
         if v is None:
             v = self._rungs.setdefault(rung, self.within(rung + 1))
-        return _cr.grid_round(v, j + 1)
+        return _to_raw(v, j)
 
 
 # Process-wide constant nodes, so their memos are shared by every
@@ -184,9 +200,8 @@ class _AtanRat(CReal):
             raise ValueError("atan_rat needs |p/q| <= 1/2")
         self.p, self.q = p, q
 
-    def _compute(self, j: int) -> BigDyadic:
-        return _cr.grid_round(kernels.atan_split(self.p, self.q, j + 2),
-                              j + 1)
+    def _compute(self, j: int) -> int:
+        return _to_raw(kernels.atan_split(self.p, self.q, j + 2), j)
 
 
 class _PiLeibniz(CReal):
@@ -211,12 +226,14 @@ class _PiLeibniz(CReal):
             lambda k: 1 << k,
         )
 
-    def _compute(self, j: int) -> BigDyadic:
+    def _compute(self, j: int) -> int:
         if j - 2 > self.cap:
             raise ResourceExhausted(
                 f"the alternating-series pi route is capped at precision "
                 f"2^-{self.cap}; requested 2^-{j - 2}")
-        return self.series._raw(j + 2).scale2(2)
+        # the series' raw(j + 2) is n 2**-(j+4) within 2**-(j+2), so four
+        # times it is the same n at scale 2**-(j+2), within 2**-j
+        return self.series._raw(j + 2)
 
 
 class _PiCosIter(CReal):
@@ -256,8 +273,10 @@ class _PiCosIter(CReal):
             t = 4 if n == 2 else 3 * t + 2
         return n
 
-    def _compute(self, j: int) -> BigDyadic:
-        return self._lim._raw(j + 1).scale2(1)
+    def _compute(self, j: int) -> int:
+        # twice the limit's raw(j + 1), n 2**-(j+3): the same n at scale
+        # 2**-(j+2), within 2**-j
+        return self._lim._raw(j + 1)
 
 
 # -- public constructors --------------------------------------------------

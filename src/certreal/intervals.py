@@ -5,7 +5,7 @@ kernels layer (kernels.py: the series, the constants, and the exp,
 sin, cos and ln reductions, each with the contract "value within
 2**-t") with the approximation backend.  What it keeps to itself is
 everything above that: arguments here are exact dyadic interval
-endpoints, its roundings use dyadic.round_to rather than
+endpoints, its roundings use dyadic.round_scaled rather than
 creal.grid_round, and every enclosure is rounded outward, so every
 produced interval provably contains the exact value of the expression.
 
@@ -28,50 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
-from .dyadic import (BigDyadic, ONE, clamp_unit, dyadic, power_of_two,
-                     round_ceil, round_floor, round_to)
+from . import kernels, lang
+from .dyadic import (BigDyadic, Interval, ONE, clamp_unit, dyadic,
+                     power_of_two, round_ceil, round_floor, round_scaled)
 from .errors import DomainUndetermined, DomainViolation
-
-
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Closed interval [lo, hi] with exact dyadic endpoints."""
-
-    lo: BigDyadic
-    hi: BigDyadic
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
-
-    def width(self) -> BigDyadic:
-        return self.hi - self.lo
-
-    def midpoint(self) -> BigDyadic:
-        """Exact midpoint (dyadics are closed under halving)."""
-        return (self.lo + self.hi).scale2(-1)
-
-    def radius(self) -> BigDyadic:
-        return (self.hi - self.lo).scale2(-1)
-
-    def contains(self, v: BigDyadic) -> bool:
-        return self.lo <= v <= self.hi
-
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo.sign() > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi.sign() < 0
-
-    def contains_zero(self) -> bool:
-        return self.lo.sign() <= 0 <= self.hi.sign()
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
 
 
 def point(v: BigDyadic) -> Interval:
@@ -132,7 +92,7 @@ def idiv(a: Interval, b: Interval, w: int) -> Interval:
 # Each _*_point helper takes an exact dyadic argument and a target t and
 # returns a value within 2**-t of the true function value, from the
 # shared reductions (kernels.py, "Reductions") with zero argument error
-# and, where they round, this backend's own rounding, round_to.
+# and, where they round, this backend's own rounding, round_scaled.
 
 
 def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
@@ -140,13 +100,13 @@ def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
     if d.is_zero():
         return ONE
     return kernels.exp_reduced(lambda s: d, d.ceil(), d.ceil_log2(), t,
-                               round_to)
+                               round_scaled)
 
 
 def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
     """sin(d), or cos(d), within 2**-t, for an exact dyadic d."""
-    return kernels.sincos_reduced(lambda s: d, abs(d), t, want_sin,
-                                  round_to)
+    return kernels.sincos_reduced(lambda s: d, abs(d).ceil(), t, want_sin,
+                                  round_scaled)
 
 
 def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
@@ -173,8 +133,6 @@ def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
 def _eval(e, w: int, sh) -> Interval:
     # sh is the lang.Sharing of a tree containing e; its enclosures memo,
     # when there is one, holds calls and pi keyed by (structure id, w)
-    from . import lang
-
     if isinstance(e, lang.Num):
         # w >= 12 here; an integer gives the point [num, num]
         scaled = e.num << w
@@ -269,8 +227,6 @@ def eval_interval(e, k: int, sharing=None) -> IntervalResult:
     if not isinstance(k, int) or k < 0:
         raise ValueError("precision must be a nonnegative integer")
     if sharing is None:
-        from . import lang
-
         sharing = lang.Sharing(e)
     target = power_of_two(1 - k)
     last = None
@@ -313,8 +269,6 @@ def conformance_check(e, k: int, budget=None) -> ConformanceReport:
     must intersect; a disjoint pair means an engine bug.  Domain errors
     from elaboration propagate to the caller.
     """
-    from . import lang
-
     sharing = lang.Sharing(e)
     c = lang.elaborate(e, budget, sharing=sharing)
     q = c.approx(k)

@@ -49,12 +49,18 @@ and the half-ulp rounding of the argument below 2**-(t+1) as well.
 Reductions
 ----------
 ``exp_reduced``, ``sincos_reduced`` and ``ln_reduced`` return exp(x),
-sin(x), cos(x) or ln(x) within 2**-t for any real x the caller can
-read to any precision.  ``arg(s)`` returns x within 2**-s (the
-interval backend passes an exact dyadic, so its argument error is
-zero), and ``rnd(v, s)`` rounds v to the 2**-s grid, within
-2**-(s+1).  The approximation backend passes ``creal.grid_round``, its
-one rounding chokepoint, and the interval backend ``dyadic.round_to``.
+sin(x), cos(x) or ln(x) within 2**-t, as a dyadic, for any real x the
+caller can read to any precision.  ``arg(s)`` returns x within 2**-s,
+one dyadic per call (the interval backend passes an exact dyadic, so
+its argument error is zero).  Inside, every value is a bare integer n
+at a known scale a, meaning n * 2**-a: the series' result at its width,
+then each square or triple-angle step at the working width ts.
+``rnd(n, a, s)`` rounds n * 2**-a to the nearest point of the 2**-s
+grid, within 2**-(s+1), and returns that point as an integer at scale
+2**-s.  The approximation backend passes ``creal.grid_round``, its one
+rounding chokepoint, and the interval backend ``dyadic.round_scaled``;
+both round to nearest with ties to even, so for the same argument the
+two give the same bits.
 
 exp halves x m times into the kernel's range, runs the series at a
 working width ts, and squares m times, rounding each square to the
@@ -76,10 +82,11 @@ amp = m + eb + 1, ts = t + 3 + amp.
   2**amp 2**-ts.  Total: 2**-(t+1) + 2**-(t+3) < 2**-t.
 
 sin and cos divide x by 3**m, with 3**m0 the least power of 3 at or
-above the caller's bound on |x| and m = m0 + extra triplings, run the
-series at width ts, and undo the division with the triple-angle maps
-3v - 4v**3 and 4v**3 - 3v, clamping to [-1, 1] and rounding to the
-2**-ts grid after each.  amp = 4 m + 1 and ts = t + 3 + amp.
+above the caller's integer bound on |x| and m = m0 + extra triplings,
+run the series at width ts, and undo the division with the
+triple-angle maps 3v - 4v**3 and 4v**3 - 3v, clamping to [-1, 1]
+before each and rounding to the 2**-ts grid after each.
+amp = 4 m + 1 and ts = t + 3 + amp.
 
 - Argument: x is read at ts, and the quotient rounded to the
   2**-(ts+2) grid, so r lies within 2**-ts (1/3**m + 1/8) of x / 3**m
@@ -243,9 +250,11 @@ Constant ladder
 ---------------
 pi and ln 2 are process-wide shared nodes (functions._Ladder), and a
 stream of queries asks them for a fresh precision each time.  Their
-raw value at j is
+raw value at j is within(J + 1) rounded to the 2**-(j+1) grid by
+creal.grid_round (and held, as every raw value is, as an integer at
+scale 2**-(j+2)),
 
-    raw(j) = grid_round(within(J + 1), j + 1),    J = ladder_rung(j),
+    raw(j) = round(within(J + 1), 2**-(j+1)),    J = ladder_rung(j),
 
 where ``ladder_rung`` rounds j up to its three leading bits, so
 j <= J < 1.25 j (J = j below 8), and ``within`` is ``pi_within`` or
@@ -258,8 +267,8 @@ shared node's memory.
 - Error: 2**-(J+1) + 2**-(j+2) <= (3/4) 2**-j, inside the raw
   contract of 2**-j.
 - Determinism: J is a function of j alone, and within and grid_round
-  are deterministic, so raw(j) is a function of j alone, and
-  approx(k) = grid_round(raw(k+2), k+1) one of k alone.  Neither
+  are deterministic, so raw(j) is a function of j alone, and approx(k),
+  raw(k+2) rounded to the 2**-(k+1) grid, one of k alone.  Neither
   depends on which precisions were asked before, in what order, or by
   how many threads; two threads racing on one rung store the
   identical value.
@@ -272,8 +281,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 from math import factorial, gcd, isqrt
 
-from .dyadic import (BigDyadic, ZERO, clamp_unit, div_nearest,
-                     div_nearest_lead, dyadic, shift_nearest)
+from .dyadic import (BigDyadic, div_nearest, div_nearest_lead, dyadic,
+                     round_scaled)
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -434,45 +443,38 @@ def _cap_ln1p(t: int) -> int:
 
 # -- wrappers: dyadic in, dyadic within 2**-t out -------------------------
 
-def _to_scaled(d: BigDyadic, w: int) -> int:
-    """Nearest integer to d * 2**w; error at most half an ulp."""
-    m, e = d.mantissa, d.exponent
-    shift = e + w
-    if shift >= 0:
-        return m << shift
-    return shift_nearest(m, -shift)
+def _fixed(series, cap_of, x: int, a: int, t: int) -> tuple[int, int]:
+    """(S, w): S * 2**-w is the series' function at x * 2**-a within
+    2**-t, with the cap and width of "Wrappers" above; the argument is
+    rounded to the nearest ulp."""
+    cap = cap_of(t)
+    w = budget(t + 2 + (8 * cap + 16).bit_length())
+    return series(round_scaled(x, a, w), w, cap), w
 
 
-def _width(t: int, cap: int) -> int:
-    return budget(t + 2 + (8 * cap + 16).bit_length())
+def _within(series, cap_of, r: BigDyadic, t: int) -> BigDyadic:
+    n, w = _fixed(series, cap_of, r.mantissa, -r.exponent, t)
+    return dyadic(n, -w)
 
 
 def exp_within(r: BigDyadic, t: int) -> BigDyadic:
     """exp(r) within 2**-t, for |r| <= 5/8."""
-    cap = _cap_exp(t)
-    w = _width(t, cap)
-    return dyadic(exp_series(_to_scaled(r, w), w, cap), -w)
+    return _within(exp_series, _cap_exp, r, t)
 
 
 def sin_within(r: BigDyadic, t: int) -> BigDyadic:
     """sin(r) within 2**-t, for |r| <= 9/8."""
-    cap = _cap_sin(t)
-    w = _width(t, cap)
-    return dyadic(sin_series(_to_scaled(r, w), w, cap), -w)
+    return _within(sin_series, _cap_sin, r, t)
 
 
 def cos_within(r: BigDyadic, t: int) -> BigDyadic:
     """cos(r) within 2**-t, for |r| <= 9/8."""
-    cap = _cap_cos(t)
-    w = _width(t, cap)
-    return dyadic(cos_series(_to_scaled(r, w), w, cap), -w)
+    return _within(cos_series, _cap_cos, r, t)
 
 
 def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:
     """ln(1 + v) within 2**-t, for |v| <= 5/8."""
-    cap = _cap_ln1p(t)
-    w = _width(t, cap)
-    return dyadic(ln1p_series(_to_scaled(v, w), w, cap), -w)
+    return _within(ln1p_series, _cap_ln1p, v, t)
 
 
 # -- reductions: any argument in, value within 2**-t out ------------------
@@ -496,27 +498,30 @@ def extra_sqrts(t: int) -> int:
 def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> BigDyadic:
     """exp(x) within 2**-t, for x with |x| <= 2**a and x <= hi.
 
-    ``arg(s)`` returns x within 2**-s and ``rnd(v, s)`` rounds v to the
-    2**-s grid (see "Reductions" above).
+    ``arg(s)`` returns x within 2**-s and ``rnd(n, a, s)`` rounds
+    n * 2**-a to the 2**-s grid (see "Reductions" above).
     """
     eb = max(0, (3 * hi + 1) // 2)
     m = max(0, a + 1) + extra_halvings(t)
     amp = m + eb + 1
     ts = budget(t + 3 + amp)
-    v = exp_within(arg(ts).scale2(-m), ts)
+    x = arg(ts)
+    # v * 2**-s: the series at x / 2**m, then each square on 2**-ts
+    v, s = _fixed(exp_series, _cap_exp, x.mantissa, m - x.exponent, ts)
     for _ in range(m):
-        v = rnd(v * v, ts)
-    return v
+        v = rnd(v * v, 2 * s, ts)
+        s = ts
+    return dyadic(v, -s)
 
 
-def sincos_reduced(arg, bound: BigDyadic, t: int, want_sin: bool,
+def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
                    rnd) -> BigDyadic:
-    """sin(x), or cos(x), within 2**-t, for x with |x| <= bound.
+    """sin(x), or cos(x), within 2**-t, for x with |x| <= bound, an int.
 
     ``arg`` and ``rnd`` are as for exp_reduced.
     """
     m, p3 = 0, 1
-    while bound > dyadic(p3):
+    while bound > p3:
         m += 1
         p3 *= 3
     extra = extra_triplings(t)
@@ -525,24 +530,30 @@ def sincos_reduced(arg, bound: BigDyadic, t: int, want_sin: bool,
     amp = 4 * m + 1
     ts = budget(t + 3 + amp)
     r = arg(ts)
+    x, a = r.mantissa, -r.exponent
     if m:
         # nearest quotient on the 2**-(ts+2) grid
-        mm, ee = r.mantissa, r.exponent
         g = ts + 2
-        shift = ee + g
+        shift = g - a
         if shift >= 0:
-            r = dyadic(div_nearest(mm << shift, p3), -g)
+            x = div_nearest(x << shift, p3)
         else:
-            r = dyadic(div_nearest(mm, p3 << -shift), -g)
-    v = sin_within(r, ts) if want_sin else cos_within(r, ts)
+            x = div_nearest(x, p3 << -shift)
+        a = g
+    if want_sin:
+        v, s = _fixed(sin_series, _cap_sin, x, a, ts)
+    else:
+        v, s = _fixed(cos_series, _cap_cos, x, a, ts)
+    # v * 2**-s, clamped to [-1, 1] before each map and at the end
     for _ in range(m):
-        v = clamp_unit(v)
+        v = max(-1 << s, min(v, 1 << s))
         v3 = v * v * v
         if want_sin:
-            v = rnd(v.mul_int(3) - v3.mul_int(4), ts)
+            v = rnd((3 * v << 2 * s) - 4 * v3, 3 * s, ts)
         else:
-            v = rnd(v3.mul_int(4) - v.mul_int(3), ts)
-    return clamp_unit(v)
+            v = rnd(4 * v3 - (3 * v << 2 * s), 3 * s, ts)
+        s = ts
+    return dyadic(max(-1 << s, min(v, 1 << s)), -s)
 
 
 def ln_reduced(arg, c: int, t: int, ln2) -> BigDyadic:
@@ -556,10 +567,12 @@ def ln_reduced(arg, c: int, t: int, ln2) -> BigDyadic:
     e = ln_window(m << max(0, ex), 1 << max(0, -ex))[0]
     s = extra_sqrts(t)
     w = budget(t + s + 6)
-    u = _to_scaled(arg(budget(w + max(0, -e))).scale2(-e), w)
+    x = arg(budget(w + max(0, -e)))
+    u = round_scaled(x.mantissa, e - x.exponent, w)
     for _ in range(s):
         u = isqrt(u << w)
-    v = ln1p_within(dyadic(u - (1 << w), -w), t + s + 3).scale2(s)
+    n, wl = _fixed(ln1p_series, _cap_ln1p, u - (1 << w), w, t + s + 3)
+    v = dyadic(n, s - wl)
     if e:
         v = v + ln2(budget(t + 2 + abs(e).bit_length())).mul_int(e)
     return v

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,11 @@ def test_series_mixed_terms_honest():
 _FAR = _ALIGN_LIMIT + 1
 
 
+def _grid_round(v, k):
+    """The dyadic v rounded to the 2**-k grid by creal.grid_round."""
+    return dyadic(creal.grid_round(v.mantissa, -v.exponent, k), -k)
+
+
 @pytest.mark.parametrize("terms,raises", [
     ([ONE, power_of_two(-_FAR)], True),
     ([power_of_two(-_FAR), ONE], True),
@@ -305,7 +311,7 @@ def test_series_prefix_alignment_guard(terms, raises):
             node.approx(0)
         return
     want = fold()
-    assert node.approx(0) == creal.grid_round(want, 1)
+    assert node.approx(0) == _grid_round(want, 1)
     count, m, e = node._prefix
     assert count == len(terms)
     assert dyadic(m, e) == want
@@ -329,8 +335,7 @@ def test_series_prefix_is_the_exact_sum(terms, k):
     count, m, e = node._prefix
     assert count == len(terms)
     assert Fraction(m) * Fraction(2) ** e == exact
-    assert q == creal.grid_round(
-        creal.grid_round(dyadic(m, e), k + 3), k + 1)
+    assert q == _grid_round(_grid_round(dyadic(m, e), k + 3), k + 1)
 
 
 def test_series_threads_identical():
@@ -456,8 +461,11 @@ def test_node_footprint():
 #
 # A const is far more exact than 2**-j, and that slack hides a missing
 # bit in a budget above it.  _Worst is a leaf whose raw value at j is
-# off by exactly 2**-j, in the direction of its sign, so every budget in
-# the dag above it is spent in full.
+# off by 2**-j, in the direction of its sign: exact + sign 2**-j, moved
+# toward the exact value onto the raw grid 2**-(j+2) where it is not on
+# it already.  Wherever the exact value lies on that grid the leaf is
+# off by exactly 2**-j, so every budget in the dag above it is spent in
+# full.
 
 class _Worst(creal.CReal):
     __slots__ = ("exact", "sign")
@@ -466,42 +474,140 @@ class _Worst(creal.CReal):
         super().__init__()
         self.exact, self.sign = exact, sign
 
-    def _compute(self, j: int):
-        return self.exact + dyadic(self.sign, -j)
+    def _compute(self, j: int) -> int:
+        f = self.exact * 2 ** (j + 2)
+        return (f.__floor__() + 4) if self.sign > 0 else (f.__ceil__() - 4)
 
 
 # magnitudes just under a power of two, where the operand bounds in _Mul
-# are tightest, and odd mantissas with long expansions.  The last is
-# both: its square lies just off every grid these tests round to, so a
-# square read short lets the rounding carry its error past 2**-j
+# are tightest, and odd mantissas with long expansions.  The last two
+# are both: their squares lie just off the grids these tests round to,
+# so a square read short lets the rounding carry its error past 2**-j.
+# 15 + 2**-60 lies on no raw grid below j = 58, so its leaf spends up to
+# a quarter less than its budget there; 15 - 2**-13 lies on every raw
+# grid from j = 11 on, and its leaf spends the budget in full
 _WORST_VALUES = (dyadic(15), dyadic(-15), dyadic(15, -4), dyadic(7, 5),
                  dyadic(3), dyadic(-341, -10), dyadic(0x5a3c96f1d3, -37),
-                 dyadic((15 << 60) + 1, -60))
+                 dyadic((15 << 60) + 1, -60), dyadic((15 << 13) - 1, -13))
 
 
 def _worst_leaves():
-    return [(v, s) for v in _WORST_VALUES for s in (1, -1)]
+    return [(v.as_fraction(), s) for v in _WORST_VALUES for s in (1, -1)]
+
+
+def _raw_value(node, j):
+    """node's raw value at j, checked to be an int, as a Fraction."""
+    n = node._raw(j)
+    assert type(n) is int, (type(node), j, n)
+    return Fraction(n, 1 << (j + 2))
 
 
 def _assert_raw_honest(node, exact, js):
     for j in js:
-        assert abs(node._raw(j).as_fraction() - exact) <= _tol(j), j
+        assert abs(_raw_value(node, j) - exact) <= _tol(j), j
+
+
+def test_worst_leaf_spends_its_budget():
+    # exactly 2**-j off wherever the exact value lies on the raw grid
+    for exact, sign in _worst_leaves():
+        leaf = _Worst(exact, sign)
+        for j in range(48):
+            err = (_raw_value(leaf, j) - exact) * sign
+            assert 0 <= _tol(j) - err < _tol(j + 2), (exact, sign, j)
+            if (exact * 2 ** (j + 2)).denominator == 1:
+                assert err == _tol(j)
 
 
 def test_ring_op_budgets_under_worst_leaves():
-    for (a, sa), (b, sb) in itertools.product(_worst_leaves(), repeat=2):
-        x, y = _Worst(a, sa), _Worst(b, sb)
-        va, vb = a.as_fraction(), b.as_fraction()
+    for (va, sa), (vb, sb) in itertools.product(_worst_leaves(), repeat=2):
+        x, y = _Worst(va, sa), _Worst(vb, sb)
         for node, exact in ((x + y, va + vb), (x - y, va - vb),
                             (x * y, va * vb), (-x, -va)):
             _assert_raw_honest(node, exact, range(48))
-        for s in (-3, 1, 4):
+        # s = -5 and -3 reach j + s < 0, where _Scale2 rounds raw(0)
+        for s in (-5, -3, 1, 4):
             _assert_raw_honest(scale2(x, s), va * Fraction(2) ** s,
                                range(48))
     # a product of one node with itself reads that node once (_Mul)
-    for a, sa in _worst_leaves():
-        x = _Worst(a, sa)
-        _assert_raw_honest(x * x, a.as_fraction() ** 2, range(48))
+    for va, sa in _worst_leaves():
+        x = _Worst(va, sa)
+        _assert_raw_honest(x * x, va ** 2, range(48))
+
+
+def test_recip_and_lim_budgets_under_worst_leaves():
+    # a reciprocal's raw value lies on the 2**-(j+2) grid only, and a
+    # worst leaf's on no coarser grid than its own, so a limit over
+    # either meets raw values off its grid; the sequences, 1/b_m or
+    # a worst leaf at L + sign 2**-m, spend the modulus k -> k in full
+    off_grid = Counter()
+    for va, sa in _worst_leaves():
+        x = _Worst(va, sa)
+        _assert_raw_honest(recip(x, find_apart(x)), 1 / va, range(48))
+        for sign in (1, -1):
+            def reciprocal(m, va=va, sa=sa, sign=sign):
+                b = _Worst(1 / (1 / va + sign * _tol(m)), sa)
+                return recip(b, find_apart(b))
+
+            def leaf(m, va=va, sa=sa, sign=sign):
+                return _Worst(va / 3 + sign * _tol(m), sa)
+
+            for element, exact in ((reciprocal, 1 / va), (leaf, va / 3)):
+                _assert_raw_honest(lim(element, lambda k: k), exact,
+                                   range(48))
+                off_grid[element.__name__] += sum(
+                    element(j + 1)._raw(j + 1) & 1 for j in range(48))
+    assert min(off_grid.values()) > 100, off_grid
+
+
+def test_every_node_kind_has_an_int_raw_value():
+    x = _Worst(Fraction(5, 7), 1)
+    ln2 = functions._ln2()
+    nodes = [const(3, 7), x + 1, x - 1, -x, scale2(x, -3), x * x, x * 3,
+             recip(x, find_apart(x)), lim(lambda n: x, lambda k: 0),
+             series_sum(lambda n: const(1, 1 << n), lambda k: k + 1),
+             functions.exp(x), functions.sin(x), functions.cos(x),
+             functions.ln(x, find_apart(x)), ln2, functions.atan_rat(1, 3),
+             functions.pi(), functions.pi("leibniz"),
+             functions.pi("cos_iteration")]
+    kinds = set()
+    stack = [creal.CReal]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__ in ("certreal.creal", "certreal.functions"):
+                kinds.add(sub)
+    assert {type(n) for n in nodes} == kinds
+    # (the leibniz route sums about 2**j terms at raw(j))
+    for node in nodes:
+        for j in (0, 1, 5, 10):
+            _raw_value(node, j)
+        # regular, and approx agrees with the raw value at k + 2
+        for j1, j2 in ((1, 10), (5, 10)):
+            assert abs(_raw_value(node, j1) - _raw_value(node, j2)) <= \
+                _tol(j1) + _tol(j2)
+        assert abs(node.approx(3).as_fraction() - _raw_value(node, 5)) \
+            <= _tol(3)
+
+
+def test_ring_walk_builds_no_dyadic(monkeypatch):
+    # a fresh dag of constants, ring operations and a reciprocal walks
+    # on ints alone: no BigDyadic is built below approx
+    import importlib
+
+    dy = importlib.import_module("certreal.dyadic")
+    a, b = const(22, 7), const(-5, 3)
+    d = a * b - a
+    x = (d * d + recip(d, find_apart(d))) * -(a + b)
+    built = []
+    real = dy._new
+
+    def counting(cls):
+        built.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(dy, "_new", counting)
+    x._raw(200)
+    assert built == []
 
 
 def test_series_budget_under_worst_terms():
@@ -510,7 +616,7 @@ def test_series_budget_under_worst_terms():
     # off by its whole error at the per-term precision
     for every in (1, 2, 5):
         for sign in (1, -1):
-            s = series_sum(lambda n: _Worst(power_of_two(-n), sign)
+            s = series_sum(lambda n: _Worst(Fraction(1, 1 << n), sign)
                            if n % every == 0 else power_of_two(-n),
                            lambda k: k + 1)
             _assert_raw_honest(s, Fraction(2), range(60))
@@ -518,10 +624,13 @@ def test_series_budget_under_worst_terms():
 
 def test_ladder_error_total_under_a_worst_source():
     # kernels.py "Constant ladder": raw(j) is within
-    # 2**-(J+1) + 2**-(j+2) of the constant, J = ladder_rung(j)
+    # 2**-(J+1) + 2**-(j+2) of the constant, J = ladder_rung(j); the
+    # source within(t) is off by exactly 2**-t
     for exact, sign in _worst_leaves():
-        node = functions._Ladder(_Worst(exact, sign)._compute)
+        # exact is a dyadic rational: its denominator a power of two
+        v = dyadic(exact.numerator, 1 - exact.denominator.bit_length())
+        node = functions._Ladder(lambda t: v + dyadic(sign, -t))
         for j in range(300):
             rung = kernels.ladder_rung(j)
-            err = abs(node._raw(j).as_fraction() - exact.as_fraction())
+            err = abs(_raw_value(node, j) - exact)
             assert err <= _tol(rung + 1) + _tol(j + 2), j

@@ -12,8 +12,8 @@ from hypothesis import example, given, strategies as st
 from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
                              ZERO, add_aligned, decimal_to_int, div_nearest,
                              div_nearest_lead, dyadic, int_to_decimal,
-                             power_of_two, round_ceil, round_floor, round_to,
-                             shift_nearest, to_decimal_string)
+                             power_of_two, round_ceil, round_floor,
+                             round_scaled, shift_nearest, to_decimal_string)
 from certreal.errors import ExponentOverflow
 
 mantissas = st.integers(-(1 << 200), 1 << 200)
@@ -165,22 +165,30 @@ def test_shift_nearest_rejects_negative_shift():
         shift_nearest(1, -1)
 
 
-@given(st.builds(dyadic, st.integers(-(1 << 20000), 1 << 20000),
-                 st.integers(-20000, 100)),
-       st.integers(0, 20000))
-def test_round_to_contract_wide(a, k):
-    q = round_to(a, k)
-    assert abs(q.as_fraction() - a.as_fraction()) <= Fraction(1, 2 ** (k + 1))
-    assert q.is_zero() or q.exponent >= -k
-
-
-@given(values, grids)
-def test_round_to_contract(a, k):
-    q = round_to(a, k)
-    assert abs(q.as_fraction() - a.as_fraction()) <= Fraction(1, 2 ** (k + 1))
-    assert q.is_zero() or q.exponent >= -k
+def _assert_round_scaled(n, a, k):
+    # q 2**-k is the nearest point of the 2**-k grid to n 2**-a, with a
+    # tie going to the even q: div_nearest's rule
+    q = round_scaled(n, a, k)
+    exact = Fraction(n) * Fraction(2) ** -a
+    assert abs(Fraction(q, 2 ** k) - exact) <= Fraction(1, 2 ** (k + 1))
+    if a > k:
+        assert q == div_nearest(n, 1 << (a - k))
     # idempotent once on the grid
-    assert round_to(q, k) == q
+    assert round_scaled(q, k, k) == q
+
+
+@given(st.integers(-(1 << 20000), 1 << 20000), st.integers(-100, 20000),
+       st.integers(0, 20000))
+def test_round_scaled_contract_wide(n, a, k):
+    _assert_round_scaled(n, a, k)
+
+
+@given(mantissas, st.integers(-400, 400), grids)
+@example(5, 1, 0)   # 2.5 rounds to 2
+@example(-5, 1, 0)  # -2.5 rounds to -2
+@example(7, 1, 0)   # 3.5 rounds to 4
+def test_round_scaled_contract(n, a, k):
+    _assert_round_scaled(n, a, k)
 
 
 @given(values, grids)
@@ -249,7 +257,7 @@ def test_exponent_limits():
     with pytest.raises(ExponentOverflow):
         dyadic(1, 0) + dyadic(1, -(1 << 27))
     with pytest.raises(ExponentOverflow):
-        round_to(dyadic(1, -(1 << 27)), 0)
+        round_scaled(1, 1 << 27, 0)
 
 
 @pytest.mark.parametrize("e", [-EXPONENT_LIMIT, -1, 0, 1, EXPONENT_LIMIT])

@@ -1,5 +1,6 @@
 """Outward interval arithmetic and the independent enclosure evaluator."""
 
+import dis
 import random
 from collections import Counter
 from fractions import Fraction
@@ -36,6 +37,23 @@ def test_interval_invariants():
     assert not iv.contains(dyadic(-1))
     assert iv.contains_zero() and not iv.strictly_positive()
     assert intervals.point(ONE).width().is_zero()
+
+
+def test_one_interval_class_and_no_import_per_call():
+    # Interval lives in dyadic.py, so creal needs nothing from intervals
+    # and intervals imports lang once, at module level
+    import importlib
+
+    import certreal
+    from certreal import creal
+
+    # certreal.dyadic is the constructor; the module is under its name
+    dy = importlib.import_module("certreal.dyadic")
+    assert Interval is dy.Interval is certreal.Interval is creal.Interval
+    for fn in (intervals._eval, intervals.eval_interval,
+               intervals.conformance_check):
+        ops = {i.opname for i in dis.get_instructions(fn)}
+        assert "IMPORT_NAME" not in ops, fn.__name__
 
 
 @given(boxes(), boxes(), st.integers(4, 120))
@@ -289,8 +307,9 @@ def test_conformance_check_catches_disagreement(monkeypatch):
 
     honest = creal.grid_round
 
-    def shifted(a, k):
-        return honest(a, k) + dyadic(1, 1 - k)
+    def shifted(n, a, k):
+        # 2**(1-k), as before the grid carried integers
+        return honest(n, a, k) + 2
 
     monkeypatch.setattr(creal, "grid_round", shifted)
     rep = conformance_check(lang.parse_expression("1 + 2 * 3"), 20)
@@ -301,7 +320,7 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     # the shared reductions round every step through the rounding their
     # caller passes: creal.grid_round, looked up at each call, for the
     # approximation backend, so a fault injected there reaches every
-    # step; and round_to for the interval backend, which such a fault
+    # step; and round_scaled for the interval backend, which such a fault
     # must not reach.  ln's reduction rounds nothing to a grid (its
     # square roots are integer floors), so the fault must not reach the
     # interval backend's ln either.  A literal argument takes binary
@@ -320,9 +339,9 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
               2 + kernels.extra_triplings(2000)))
     grids = Counter()
 
-    def counting(a, k):
+    def counting(n, a, k):
         grids[k] += 1
-        return honest(a, k)
+        return honest(n, a, k)
 
     monkeypatch.setattr(creal, "grid_round", counting)
     for node, steps in cases:
@@ -337,7 +356,7 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
         node.approx(2000)
         assert grids == Counter({2003: 1, 2001: 1}), grids
 
-    def broken(a, k):
+    def broken(n, a, k):
         raise AssertionError("interval backend used creal.grid_round")
 
     monkeypatch.setattr(creal, "grid_round", broken)

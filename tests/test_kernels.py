@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from certreal import kernels
-from certreal.dyadic import div_nearest, dyadic, round_to
+from certreal.dyadic import div_nearest, dyadic, round_scaled
 
 widths = st.integers(20, 400)
 caps = st.integers(1, 80)
@@ -300,7 +300,7 @@ def test_constants_against_independent_routes_at_20000_bits():
     # 2**-(t+2) and at most 2**-(t+1) in size then gives |d| < 2**-t
     p = kernels.pi_within(t)
     assert 3 < p.as_fraction() < Fraction(16, 5)
-    s = kernels.sincos_reduced(lambda _: p, dyadic(4), t + 2, True, round_to)
+    s = kernels.sincos_reduced(lambda _: p, 4, t + 2, True, round_scaled)
     assert abs(s.as_fraction()) <= Fraction(1, 1 << (t + 1))
     tol = Fraction(2, 1 << t)
     ln2 = -kernels.ln1p_within(dyadic(-1, -1), t)
