@@ -15,7 +15,8 @@ read-only fields, but the hot paths build it through the slot
 descriptors (_make), and compare takes one aligned integer difference.
 Where a value lives on a known grid, the package carries it as a bare
 integer scaled by a power of two instead; round_scaled rounds such an
-integer to a coarser grid.  Interval, a closed interval of two
+integer to a coarser grid, and floor_scaled and ceil_scaled round it
+down and up.  Interval, a closed interval of two
 dyadics, is the enclosure type of both evaluation backends.
 """
 
@@ -193,7 +194,6 @@ def dyadic(mantissa: int, exponent: int = 0) -> BigDyadic:
 _ZERO = BigDyadic(0, 0)
 ZERO = _ZERO
 ONE = BigDyadic(1, 0)
-MINUS_ONE = BigDyadic(-1, 0)
 
 
 def power_of_two(e: int) -> BigDyadic:
@@ -316,30 +316,21 @@ def round_scaled(n: int, a: int, k: int) -> int:
     return shift_nearest(n, a - k)
 
 
-def round_floor(a: BigDyadic, k: int) -> BigDyadic:
-    """Round down (toward -inf) to the grid of spacing 2**-k."""
-    m, e = a.mantissa, a.exponent
-    if m == 0 or e >= -k:
-        return a
-    shift = -k - e
-    if shift > _ALIGN_LIMIT:
-        raise ExponentOverflow(f"rounding span {shift} too large")
-    return dyadic(m >> shift, -k)
+def floor_scaled(n: int, a: int, k: int) -> int:
+    """n * 2**-a rounded down (toward -inf) to the grid of spacing 2**-k,
+    as the integer q with value q * 2**-k; the span guard is
+    round_scaled's."""
+    if a <= k:
+        return n << (k - a)
+    if a - k > _ALIGN_LIMIT:
+        raise ExponentOverflow(f"rounding span {a - k} too large")
+    return n >> (a - k)
 
 
-def round_ceil(a: BigDyadic, k: int) -> BigDyadic:
-    """Round up (toward +inf) to the grid of spacing 2**-k."""
-    return -round_floor(-a, k)
-
-
-def clamp_unit(v: BigDyadic) -> BigDyadic:
-    """v clamped to [-1, 1]: for an approximation of a sine or cosine,
-    a move toward the true value."""
-    if v > ONE:
-        return ONE
-    if v < MINUS_ONE:
-        return MINUS_ONE
-    return v
+def ceil_scaled(n: int, a: int, k: int) -> int:
+    """n * 2**-a rounded up (toward +inf) to the grid of spacing 2**-k,
+    as floor_scaled."""
+    return -floor_scaled(-n, a, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,13 +346,6 @@ class Interval:
 
     def width(self) -> BigDyadic:
         return self.hi - self.lo
-
-    def midpoint(self) -> BigDyadic:
-        """Exact midpoint (dyadics are closed under halving)."""
-        return (self.lo + self.hi).scale2(-1)
-
-    def radius(self) -> BigDyadic:
-        return (self.hi - self.lo).scale2(-1)
 
     def contains(self, v: BigDyadic) -> bool:
         return self.lo <= v <= self.hi

@@ -6,12 +6,13 @@ of the argument and hands the rest to the shared kernels layer
 argument at the precision their budget needs and return a value within
 2**-(j+1), and the constants, atan_rat, and exp, sin, cos and ln of a
 literal (where the kernels' predicates say it pays) to its binary
-splitting.  The kernels take and return dyadics at their boundary:
-a node hands them its argument's raw values as dyadics (``_reader``)
-and turns their result back into a raw value, an int at scale
-2**-(j+2), by one rounding to the 2**-(j+1) grid (``_to_raw``).  Every
-rounding here goes through creal.grid_round, looked up at each call,
-and the last one puts the result within 2**-j of the true value.
+splitting.  The reductions take and return scaled integers: a node
+hands them its argument's raw values as pairs, s -> (raw(s), s + 2),
+and gets back a pair (v, s) meaning v * 2**-s; the binary splitting
+returns a dyadic.  Either result becomes a raw value, an int at scale
+2**-(j+2), by one rounding to the 2**-(j+1) grid (``_rounded``).
+Every rounding here goes through creal.grid_round, looked up at each
+call, and the last one puts the result within 2**-j of the true value.
 
 Everything is integer arithmetic; there is no float anywhere on these
 paths, so results are deterministic bit for bit.
@@ -29,15 +30,9 @@ from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
 
-def _reader(x: CReal) -> Callable[[int], BigDyadic]:
-    """x's raw values as dyadics: the kernels' arg(s), within 2**-s."""
-    raw = x._raw
-    return lambda s: dyadic(raw(s), -(s + 2))
-
-
-def _to_raw(v: BigDyadic, j: int) -> int:
-    """v rounded to the 2**-(j+1) grid, as a raw value at j."""
-    return _cr.grid_round(v.mantissa, -v.exponent, j + 1) << 1
+def _rounded(v: int, s: int, j: int) -> int:
+    """v * 2**-s rounded to the 2**-(j+1) grid, as a raw value at j."""
+    return _cr.grid_round(v, s, j + 1) << 1
 
 
 def _literal(x: CReal):
@@ -64,13 +59,14 @@ class _Exp(CReal):
         if lit is not None and kernels.literal_split_pays(lit, j):
             # binary splitting within 2**-(j+2), the rounding 2**-(j+2)
             v = kernels.exp_split(lit.numerator, lit.denominator, j + 2)
-            return _to_raw(v, j)
+            return _rounded(v.mantissa, -v.exponent, j)
         # q0 = approx(x, 0) = h / 2: |x| <= |q0| + 1 and
         # x <= ceil(q0) + 1 = (h + 1) // 2 + 1
         h = self.x._grid(0)
-        v = kernels.exp_reduced(_reader(self.x), ((h + 1) >> 1) + 1,
-                                _cr._log2_bound(h), j + 1, _cr.grid_round)
-        return _to_raw(v, j)
+        raw = self.x._raw
+        return _rounded(*kernels.exp_reduced(
+            lambda s: (raw(s), s + 2), ((h + 1) >> 1) + 1,
+            _cr._log2_bound(h), j + 1, _cr.grid_round), j)
 
 
 class _SinCos(CReal):
@@ -87,13 +83,14 @@ class _SinCos(CReal):
             # as for exp
             v = kernels.sincos_split(lit.numerator, lit.denominator, j + 2,
                                      self.want_sin)
-            return _to_raw(v, j)
+            return _rounded(v.mantissa, -v.exponent, j)
         # |x| <= |approx(x, 0)| + 1 = (|h| + 2) / 2, at most the int
         # (|h| + 3) // 2
         bound = (abs(self.x._grid(0)) + 3) >> 1
-        v = kernels.sincos_reduced(_reader(self.x), bound, j + 1,
-                                   self.want_sin, _cr.grid_round)
-        return _to_raw(v, j)
+        raw = self.x._raw
+        return _rounded(*kernels.sincos_reduced(
+            lambda s: (raw(s), s + 2), bound, j + 1, self.want_sin,
+            _cr.grid_round), j)
 
 
 class _Ln(CReal):
@@ -125,10 +122,11 @@ class _Ln(CReal):
                 if e != 0:
                     tl = budget(j + 2 + abs(e).bit_length())
                     v = v + dyadic(e * _ln2()._raw(tl), -(tl + 2))
-                return _to_raw(v, j)
-        v = kernels.ln_reduced(_reader(self.x), self.cert.witness_precision,
-                               j + 1, _reader(_ln2()))
-        return _to_raw(v, j)
+                return _rounded(v.mantissa, -v.exponent, j)
+        raw, raw2 = self.x._raw, _ln2()._raw
+        return _rounded(*kernels.ln_reduced(
+            lambda s: (raw(s), s + 2), self.cert.witness_precision, j + 1,
+            lambda s: (raw2(s), s + 2)), j)
 
 
 # Raw values a ladder node keeps before it starts its memo over.
@@ -165,7 +163,7 @@ class _Ladder(CReal):
         v = self._rungs.get(rung)
         if v is None:
             v = self._rungs.setdefault(rung, self.within(rung + 1))
-        return _to_raw(v, j)
+        return _rounded(v.mantissa, -v.exponent, j)
 
 
 # Process-wide constant nodes, so their memos are shared by every
@@ -201,7 +199,8 @@ class _AtanRat(CReal):
         self.p, self.q = p, q
 
     def _compute(self, j: int) -> int:
-        return _to_raw(kernels.atan_split(self.p, self.q, j + 2), j)
+        v = kernels.atan_split(self.p, self.q, j + 2)
+        return _rounded(v.mantissa, -v.exponent, j)
 
 
 class _PiLeibniz(CReal):

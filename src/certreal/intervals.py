@@ -1,13 +1,24 @@
-"""Outward-rounded dyadic interval arithmetic.
+"""Outward-rounded interval arithmetic on scaled integers.
 
 This is the package's second evaluation backend.  It shares the
 kernels layer (kernels.py: the series, the constants, and the exp,
 sin, cos and ln reductions, each with the contract "value within
 2**-t") with the approximation backend.  What it keeps to itself is
-everything above that: arguments here are exact dyadic interval
-endpoints, its roundings use dyadic.round_scaled rather than
-creal.grid_round, and every enclosure is rounded outward, so every
-produced interval provably contains the exact value of the expression.
+everything above that.  An enclosure at working precision w is a pair
+of ints (lo, hi), meaning [lo * 2**-w, hi * 2**-w]; its roundings are
+dyadic.round_scaled inside the reductions and floor_scaled and
+ceil_scaled outside them, rather than creal.grid_round, and every
+enclosure is rounded outward, so every produced interval provably
+contains the exact value of the expression.
+
+Sums, differences and negation are exact.  A product takes the hull
+of the four endpoint products, at scale 2w, floored and ceiled to w.
+A quotient multiplies by the reciprocal on the 2**-(w+2) grid.  exp,
+ln and pi widen a point value within 2**-(w+2) by that much and round
+outward; sin and cos, which are 1-Lipschitz, evaluate at the exact
+midpoint, lo + hi at scale w + 1, and widen by the radius, hi - lo at
+that scale, too.  eval_interval builds the one public Interval of two
+dyadics from the pair its last pass returns.
 
 The point of having two backends is cross-checking: conformance_check
 compares an interval enclosure against the approximation backend's
@@ -29,128 +40,131 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels, lang
-from .dyadic import (BigDyadic, Interval, ONE, clamp_unit, dyadic,
-                     power_of_two, round_ceil, round_floor, round_scaled)
+from .dyadic import (Interval, ceil_scaled, dyadic, floor_scaled,
+                     power_of_two, round_scaled)
 from .errors import DomainUndetermined, DomainViolation
 
 
-def point(v: BigDyadic) -> Interval:
-    return Interval(v, v)
-
-
-def from_point_err(v: BigDyadic, err: BigDyadic, w: int) -> Interval:
-    """Enclosure of a point known to within +-err, on the 2**-w grid."""
-    return Interval(round_floor(v - err, w), round_ceil(v + err, w))
+def _interval(lo: int, hi: int, w: int) -> Interval:
+    """The enclosure (lo, hi) at scale w as an Interval."""
+    return Interval(dyadic(lo, -w), dyadic(hi, -w))
 
 
 # -- outward-rounded interval operations ---------------------------------
 
-def iadd(a: Interval, b: Interval, w: int) -> Interval:
-    return Interval(round_floor(a.lo + b.lo, w), round_ceil(a.hi + b.hi, w))
+def _mul(alo: int, ahi: int, blo: int, bhi: int, a: int,
+         w: int) -> tuple[int, int]:
+    """The product of two enclosures whose scales add up to a, rounded
+    outward to scale w."""
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return floor_scaled(min(products), a, w), ceil_scaled(max(products), a, w)
 
 
-def ineg(a: Interval) -> Interval:
-    return Interval(-a.hi, -a.lo)
+def _div(alo: int, ahi: int, blo: int, bhi: int, d: int,
+         w: int) -> tuple[int, int]:
+    """The quotient of two enclosures at scale w + d, rounded outward to
+    scale w through the reciprocal on the 2**-(w+2) grid; the divisor
+    must not contain zero."""
+    if blo <= 0 <= bhi:
+        raise DomainUndetermined(w + 2,
+                                 "reciprocal of an interval containing 0")
+    # 1 / (b 2**-(w+d)) is 2**(2w+d+2) / b at scale w + 2
+    a = 2 * w + d + 2
+    n = 1 << a
+    return _mul(alo, ahi, n // bhi, -(-n // blo), a, w)
 
 
-def isub(a: Interval, b: Interval, w: int) -> Interval:
-    return iadd(a, ineg(b), w)
-
-
-def imul(a: Interval, b: Interval, w: int) -> Interval:
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return Interval(round_floor(min(products), w),
-                    round_ceil(max(products), w))
-
-
-def _recip_floor(d: BigDyadic, w: int) -> BigDyadic:
-    # floor(2**w / d) / 2**w, exact directed rounding for d != 0
-    m, e = d.mantissa, d.exponent
-    num_shift = w - e
-    if num_shift >= 0:
-        return dyadic((1 << num_shift) // m, -w)
-    return dyadic(1 // (m << -num_shift), -w)
-
-
-def _recip_ceil(d: BigDyadic, w: int) -> BigDyadic:
-    return -_recip_floor(-d, w)
-
-
-def irecip(a: Interval, w: int) -> Interval:
-    """Reciprocal; the operand interval must not contain zero."""
-    if a.contains_zero():
-        raise DomainUndetermined(w, "reciprocal of an interval containing 0")
-    return Interval(_recip_floor(a.hi, w), _recip_ceil(a.lo, w))
-
-
-def idiv(a: Interval, b: Interval, w: int) -> Interval:
-    return imul(a, irecip(b, w + 2), w)
+def _widened(v: int, s: int, w: int) -> tuple[int, int]:
+    """The enclosure at scale w of a value within 2**-(w+2) of v * 2**-s."""
+    if s < w + 2:
+        v, s = v << (w + 2 - s), w + 2
+    r = 1 << (s - w - 2)
+    return floor_scaled(v - r, s, w), ceil_scaled(v + r, s, w)
 
 
 # -- certified point evaluations of the transcendental functions ---------
 #
-# Each _*_point helper takes an exact dyadic argument and a target t and
-# returns a value within 2**-t of the true function value, from the
-# shared reductions (kernels.py, "Reductions") with zero argument error
-# and, where they round, this backend's own rounding, round_scaled.
+# Each _*_point helper takes an exact argument x = (n, a), meaning
+# n * 2**-a, and a target t, and returns a value within 2**-t of the
+# true function value as a pair (v, s), meaning v * 2**-s with s >= t,
+# from the shared reductions (kernels.py, "Reductions") with zero
+# argument error and, where they round, this backend's own rounding,
+# round_scaled.
 
 
-def _exp_point(d: BigDyadic, t: int) -> BigDyadic:
-    """exp(d) within 2**-t, for an exact dyadic d."""
-    if d.is_zero():
-        return ONE
-    return kernels.exp_reduced(lambda s: d, d.ceil(), d.ceil_log2(), t,
+def _exp_point(x: tuple[int, int], t: int) -> tuple[int, int]:
+    """exp(x) within 2**-t, for an exact x."""
+    n, a = x
+    if n == 0:
+        return 1, 0
+    # |x| <= 2**L for L = bitlen(|n| - 1) - a, the least such L
+    return kernels.exp_reduced(lambda s: x, ceil_scaled(n, a, 0),
+                               (abs(n) - 1).bit_length() - a, t,
                                round_scaled)
 
 
-def _sincos_point(d: BigDyadic, t: int, want_sin: bool) -> BigDyadic:
-    """sin(d), or cos(d), within 2**-t, for an exact dyadic d."""
-    return kernels.sincos_reduced(lambda s: d, abs(d).ceil(), t, want_sin,
-                                  round_scaled)
+def _sincos_point(x: tuple[int, int], t: int,
+                  want_sin: bool) -> tuple[int, int]:
+    """sin(x), or cos(x), within 2**-t, for an exact x."""
+    n, a = x
+    return kernels.sincos_reduced(lambda s: x, ceil_scaled(abs(n), a, 0),
+                                  t, want_sin, round_scaled)
 
 
-def _ln_point(d: BigDyadic, t: int) -> BigDyadic:
-    """ln(d) within 2**-t, for an exact dyadic d > 0."""
-    if d.sign() <= 0:
+def _ln2(s: int) -> tuple[int, int]:
+    """ln 2 within 2**-s, as a pair: ln_reduced's ln2(s)."""
+    d = kernels.ln2_within(s)
+    return d.mantissa, -d.exponent
+
+
+def _ln_point(x: tuple[int, int], t: int) -> tuple[int, int]:
+    """ln(x) within 2**-t, for an exact x > 0."""
+    n, a = x
+    if n <= 0:
         raise ValueError("ln point evaluation needs a positive argument")
-    return kernels.ln_reduced(lambda s: d, 1 - d.ceil_log2(), t,
-                              kernels.ln2_within)
+    # x > 2**(L-1) for L as in _exp_point, so ln_reduced's c is 1 - L
+    return kernels.ln_reduced(lambda s: x, 1 + a - (n - 1).bit_length(), t,
+                              _ln2)
 
 
 # -- expression evaluation ------------------------------------------------
 
-def _sincos_enclosure(a: Interval, want_sin: bool, w: int) -> Interval:
+def _sincos_enclosure(lo: int, hi: int, want_sin: bool,
+                      w: int) -> tuple[int, int]:
     # sin and cos are 1-Lipschitz: the value at the midpoint, widened by
-    # the radius, encloses the image of a
-    r = power_of_two(-(w + 2))
-    v = _sincos_point(a.midpoint(), w + 2, want_sin)
-    rad = a.radius()
-    # |sin|, |cos| <= 1: clipping is sound and keeps tan stable
-    return Interval(clamp_unit(round_floor(v - rad - r, w)),
-                    clamp_unit(round_ceil(v + rad + r, w)))
+    # the radius, encloses the image of [lo, hi]; the point is at a
+    # scale s >= w + 2, where the radius and its error 2**-(w+2) are ints
+    v, s = _sincos_point((lo + hi, w + 1), w + 2, want_sin)
+    r = ((hi - lo) << (s - w - 1)) + (1 << (s - w - 2))
+    # |sin|, |cos| <= 1: clipping is sound and keeps tan stable; v lies
+    # in [-1, 1], so each end can leave it on its outer side only
+    one = 1 << w
+    return (max(-one, floor_scaled(v - r, s, w)),
+            min(one, ceil_scaled(v + r, s, w)))
 
 
-def _eval(e, w: int, sh) -> Interval:
-    # sh is the lang.Sharing of a tree containing e; its enclosures memo,
-    # when there is one, holds calls and pi keyed by (structure id, w)
+def _eval(e, w: int, sh) -> tuple[int, int]:
+    # the enclosure (lo, hi) of e at scale w; sh is the lang.Sharing of
+    # a tree containing e, whose enclosures memo, when there is one,
+    # holds calls and pi keyed by (structure id, w)
     if isinstance(e, lang.Num):
         # w >= 12 here; an integer gives the point [num, num]
         scaled = e.num << w
-        return Interval(dyadic(scaled // e.den, -w),
-                        dyadic(-((-scaled) // e.den), -w))
+        return scaled // e.den, -(-scaled // e.den)
     if isinstance(e, lang.Neg):
-        return ineg(_eval(e.arg, w, sh))
+        lo, hi = _eval(e.arg, w, sh)
+        return -hi, -lo
     if isinstance(e, lang.BinOp):
-        a = _eval(e.lhs, w, sh)
-        b = _eval(e.rhs, w, sh)
+        alo, ahi = _eval(e.lhs, w, sh)
+        blo, bhi = _eval(e.rhs, w, sh)
         if e.op == "+":
-            return iadd(a, b, w)
+            return alo + blo, ahi + bhi
         if e.op == "-":
-            return isub(a, b, w)
+            return alo - bhi, ahi - blo
         if e.op == "*":
-            return imul(a, b, w)
+            return _mul(alo, ahi, blo, bhi, 2 * w, w)
         if e.op == "/":
-            return idiv(a, b, w)
+            return _div(alo, ahi, blo, bhi, 0, w)
         raise AssertionError(f"unknown operator {e.op!r}")
     if isinstance(e, (lang.Call, lang.PiConst)):
         memo = sh.enclosures
@@ -162,8 +176,8 @@ def _eval(e, w: int, sh) -> Interval:
         if isinstance(e, lang.Call):
             iv = _call(e, w, sh)
         else:
-            iv = from_point_err(kernels.pi_within(w + 2),
-                                power_of_two(-(w + 2)), w)
+            p = kernels.pi_within(w + 2)
+            iv = _widened(p.mantissa, -p.exponent, w)
         if memo is not None:
             memo[key] = iv
         return iv
@@ -172,34 +186,35 @@ def _eval(e, w: int, sh) -> Interval:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _call(e, w: int, sh) -> Interval:
+def _call(e, w: int, sh) -> tuple[int, int]:
     # the enclosure of the call e at w, for _eval to memoize; tan is the
     # quotient of sine and cosine enclosures taken from one enclosure of
     # its argument, four bits finer
-    a = _eval(e.arg, w + 4 if e.fn == "tan" else w, sh)
-    r = power_of_two(-(w + 2))
+    if e.fn == "tan":
+        lo, hi = _eval(e.arg, w + 4, sh)
+        slo, shi = _sincos_enclosure(lo, hi, True, w + 4)
+        clo, chi = _sincos_enclosure(lo, hi, False, w + 4)
+        if clo <= 0 <= chi:
+            raise DomainUndetermined(
+                w, "cos enclosure for tan does not exclude 0")
+        return _div(slo, shi, clo, chi, 4, w)
+    lo, hi = _eval(e.arg, w, sh)
     if e.fn == "exp":
-        return Interval(round_floor(_exp_point(a.lo, w + 2) - r, w),
-                        round_ceil(_exp_point(a.hi, w + 2) + r, w))
+        return (_widened(*_exp_point((lo, w), w + 2), w)[0],
+                _widened(*_exp_point((hi, w), w + 2), w)[1])
     if e.fn == "ln":
-        if a.strictly_negative():
+        if hi < 0:
+            a = _interval(lo, hi, w)
             raise DomainViolation(
                 e.arg.span, a,
                 f"ln argument enclosed by {a}, which is negative")
-        if not a.strictly_positive():
+        if lo <= 0:
             raise DomainUndetermined(
                 w, "ln argument interval does not exclude 0")
-        return Interval(round_floor(_ln_point(a.lo, w + 2) - r, w),
-                        round_ceil(_ln_point(a.hi, w + 2) + r, w))
+        return (_widened(*_ln_point((lo, w), w + 2), w)[0],
+                _widened(*_ln_point((hi, w), w + 2), w)[1])
     if e.fn in ("sin", "cos"):
-        return _sincos_enclosure(a, e.fn == "sin", w)
-    if e.fn == "tan":
-        si = _sincos_enclosure(a, True, w + 4)
-        co = _sincos_enclosure(a, False, w + 4)
-        if co.contains_zero():
-            raise DomainUndetermined(
-                w, "cos enclosure for tan does not exclude 0")
-        return idiv(si, co, w)
+        return _sincos_enclosure(lo, hi, e.fn == "sin", w)
     raise AssertionError(f"unknown function {e.fn!r}")
 
 
@@ -228,20 +243,20 @@ def eval_interval(e, k: int, sharing=None) -> IntervalResult:
         raise ValueError("precision must be a nonnegative integer")
     if sharing is None:
         sharing = lang.Sharing(e)
-    target = power_of_two(1 - k)
     last = None
     failure = None
     for w in (k + 12, 2 * k + 24, 4 * k + 48):
         try:
-            iv = _eval(e, w, sharing)
+            lo, hi = _eval(e, w, sharing)
         except DomainUndetermined as exc:
             failure = exc
             continue
-        if iv.width() <= target:
-            return IntervalResult(iv, True, k)
-        last = iv
+        # a width of at most 2**(1-k), at scale w
+        if hi - lo <= 1 << (w + 1 - k):
+            return IntervalResult(_interval(lo, hi, w), True, k)
+        last = lo, hi, w
     if last is not None:
-        return IntervalResult(last, False, k)
+        return IntervalResult(_interval(*last), False, k)
     raise DomainUndetermined(k) from failure
 
 

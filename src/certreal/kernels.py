@@ -2,7 +2,7 @@
 
 Every transcendental in the package reaches its error bound through one
 step: pick a term cap and a working width, run a fixed-point series
-kernel, and read the result back as a dyadic; or, for an exact
+kernel, and read the result back at that width; or, for an exact
 rational argument, sum the series exactly by binary splitting and
 round once.  This module is that step, written once, together with
 the argument reductions of exp, sin, cos and ln.  The approximation
@@ -49,12 +49,15 @@ and the half-ulp rounding of the argument below 2**-(t+1) as well.
 Reductions
 ----------
 ``exp_reduced``, ``sincos_reduced`` and ``ln_reduced`` return exp(x),
-sin(x), cos(x) or ln(x) within 2**-t, as a dyadic, for any real x the
-caller can read to any precision.  ``arg(s)`` returns x within 2**-s,
-one dyadic per call (the interval backend passes an exact dyadic, so
-its argument error is zero).  Inside, every value is a bare integer n
-at a known scale a, meaning n * 2**-a: the series' result at its width,
-then each square or triple-angle step at the working width ts.
+sin(x), cos(x) or ln(x) within 2**-t, for any real x the caller can
+read to any precision.  Every value at this boundary and inside is a
+bare integer n at a known scale a, meaning n * 2**-a, passed as the
+pair (n, a).  ``arg(s)`` returns x within 2**-s as such a pair, one per
+call: the approximation backend reads a raw value, (raw(s), s + 2),
+and the interval backend passes an exact endpoint or midpoint, so its
+argument error is zero.  Inside, the series' result is at its width,
+then each square or triple-angle step at the working width ts.  The
+result is a pair (v, s) with s >= t, so the caller rounds it once.
 ``rnd(n, a, s)`` rounds n * 2**-a to the nearest point of the 2**-s
 grid, within 2**-(s+1), and returns that point as an integer at scale
 2**-s.  The approximation backend passes ``creal.grid_round``, its one
@@ -495,28 +498,31 @@ def extra_sqrts(t: int) -> int:
     return max(0, isqrt(t) // 4 - 4)
 
 
-def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> BigDyadic:
-    """exp(x) within 2**-t, for x with |x| <= 2**a and x <= hi.
+def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> tuple[int, int]:
+    """exp(x) within 2**-t, as (v, s) meaning v * 2**-s, for x with
+    |x| <= 2**a and x <= hi.
 
-    ``arg(s)`` returns x within 2**-s and ``rnd(n, a, s)`` rounds
-    n * 2**-a to the 2**-s grid (see "Reductions" above).
+    ``arg(s)`` returns x within 2**-s as a pair (n, a) and
+    ``rnd(n, a, s)`` rounds n * 2**-a to the 2**-s grid (see
+    "Reductions" above).
     """
     eb = max(0, (3 * hi + 1) // 2)
     m = max(0, a + 1) + extra_halvings(t)
     amp = m + eb + 1
     ts = budget(t + 3 + amp)
-    x = arg(ts)
+    x, ax = arg(ts)
     # v * 2**-s: the series at x / 2**m, then each square on 2**-ts
-    v, s = _fixed(exp_series, _cap_exp, x.mantissa, m - x.exponent, ts)
+    v, s = _fixed(exp_series, _cap_exp, x, ax + m, ts)
     for _ in range(m):
         v = rnd(v * v, 2 * s, ts)
         s = ts
-    return dyadic(v, -s)
+    return v, s
 
 
 def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
-                   rnd) -> BigDyadic:
-    """sin(x), or cos(x), within 2**-t, for x with |x| <= bound, an int.
+                   rnd) -> tuple[int, int]:
+    """sin(x), or cos(x), within 2**-t, as (v, s) meaning v * 2**-s, for
+    x with |x| <= bound, an int.
 
     ``arg`` and ``rnd`` are as for exp_reduced.
     """
@@ -529,8 +535,7 @@ def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
     p3 *= 3 ** extra
     amp = 4 * m + 1
     ts = budget(t + 3 + amp)
-    r = arg(ts)
-    x, a = r.mantissa, -r.exponent
+    x, a = arg(ts)
     if m:
         # nearest quotient on the 2**-(ts+2) grid
         g = ts + 2
@@ -553,29 +558,32 @@ def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
         else:
             v = rnd(4 * v3 - (3 * v << 2 * s), 3 * s, ts)
         s = ts
-    return dyadic(max(-1 << s, min(v, 1 << s)), -s)
+    return max(-1 << s, min(v, 1 << s)), s
 
 
-def ln_reduced(arg, c: int, t: int, ln2) -> BigDyadic:
-    """ln(x) within 2**-t, for x > 2**-c.
+def ln_reduced(arg, c: int, t: int, ln2) -> tuple[int, int]:
+    """ln(x) within 2**-t, as (v, s) meaning v * 2**-s, for x > 2**-c.
 
     ``arg`` is as for exp_reduced, and ``ln2(s)`` returns ln 2 within
-    2**-s (see "Reductions" above).
+    2**-s as a pair (n, a) too (see "Reductions" above).
     """
-    x0 = arg(c + 6)
-    m, ex = x0.mantissa, x0.exponent
-    e = ln_window(m << max(0, ex), 1 << max(0, -ex))[0]
+    m, ax = arg(c + 6)
+    e = ln_window(m << max(0, -ax), 1 << max(0, ax))[0]
     s = extra_sqrts(t)
     w = budget(t + s + 6)
-    x = arg(budget(w + max(0, -e)))
-    u = round_scaled(x.mantissa, e - x.exponent, w)
+    x, ax = arg(budget(w + max(0, -e)))
+    u = round_scaled(x, ax + e, w)
     for _ in range(s):
         u = isqrt(u << w)
     n, wl = _fixed(ln1p_series, _cap_ln1p, u - (1 << w), w, t + s + 3)
-    v = dyadic(n, s - wl)
+    # 2**s times the series' value: n at scale wl - s
+    v, sv = n, wl - s
     if e:
-        v = v + ln2(budget(t + 2 + abs(e).bit_length())).mul_int(e)
-    return v
+        l2, a2 = ln2(budget(t + 2 + abs(e).bit_length()))
+        if a2 > sv:
+            v, sv = v << (a2 - sv), a2
+        v += e * l2 << (sv - a2)
+    return v, sv
 
 
 # -- binary splitting -----------------------------------------------------

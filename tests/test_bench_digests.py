@@ -34,6 +34,13 @@ PI01_DEEP_DIGEST = \
     "664f9208a66cf156f4e2fa78f7922d77558e567e187e3d8514ade806507a2e93"
 
 
+# digest_all, over every answer of 10 rounds of prove-both at seed 1:
+# the first round has 26 answers; ten rounds reach the interval
+# backend's memo, quotients and tan enclosures far more often
+PROVE_BOTH_DEEP_DIGEST = \
+    "8175f297cbc76ba6f6731e3684b8bc1e669744707bc144e84bab0c66bfe88aa2"
+
+
 def _run_worker(workload, rounds):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
@@ -52,3 +59,8 @@ def test_first_round_digest(workload):
 
 def test_pi01_sweep_twenty_round_digest():
     assert _run_worker("pi01-sweep", 20)["digest_all"] == PI01_DEEP_DIGEST
+
+
+def test_prove_both_ten_round_digest():
+    assert _run_worker("prove-both", 10)["digest_all"] == \
+        PROVE_BOTH_DEEP_DIGEST

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 from certreal.dyadic import (_ALIGN_LIMIT, BigDyadic, EXPONENT_LIMIT, ONE,
                              ZERO, add_aligned, decimal_to_int, div_nearest,
                              div_nearest_lead, dyadic, int_to_decimal,
-                             power_of_two, round_ceil, round_floor,
+                             ceil_scaled, floor_scaled, power_of_two,
                              round_scaled, shift_nearest, to_decimal_string)
 from certreal.errors import ExponentOverflow
 
@@ -193,12 +193,13 @@ def test_round_scaled_contract(n, a, k):
 
 @given(values, grids)
 def test_directed_rounding(a, k):
-    lo, hi = round_floor(a, k), round_ceil(a, k)
+    n, e = a.mantissa, a.exponent
+    lo, hi = floor_scaled(n, -e, k), ceil_scaled(n, -e, k)
     f = a.as_fraction()
     step = Fraction(1, 2 ** k)
-    assert lo.as_fraction() <= f <= hi.as_fraction()
-    assert f - lo.as_fraction() < step
-    assert hi.as_fraction() - f < step
+    assert Fraction(lo, 2 ** k) <= f <= Fraction(hi, 2 ** k)
+    assert f - Fraction(lo, 2 ** k) < step
+    assert Fraction(hi, 2 ** k) - f < step
 
 
 @given(values, st.integers(0, 40))
@@ -258,6 +259,8 @@ def test_exponent_limits():
         dyadic(1, 0) + dyadic(1, -(1 << 27))
     with pytest.raises(ExponentOverflow):
         round_scaled(1, 1 << 27, 0)
+    with pytest.raises(ExponentOverflow):
+        floor_scaled(1, 1 << 27, 0)
 
 
 @pytest.mark.parametrize("e", [-EXPONENT_LIMIT, -1, 0, 1, EXPONENT_LIMIT])

@@ -512,3 +512,26 @@ def test_ladder_bits_identical_under_threads():
     fresh = _fresh_process_bits()
     functions._SHARED_NODES.clear()
     assert _in_threads(_ladder_bits) == [fresh] * 8
+
+
+def test_reductions_build_no_dyadic(monkeypatch):
+    # exp and sin of a product of sums read their argument and return
+    # through int pairs: no BigDyadic is built below approx, as for the
+    # ring walk (test_creal.test_ring_walk_builds_no_dyadic)
+    import importlib
+
+    dy = importlib.import_module("certreal.dyadic")
+    x = const(22, 7) + const(1, 3)
+    y = const(-5, 3) - const(1, 5)
+    nodes = (exp(x * y), sin(x * y), cos(x * y + 1))
+    built = []
+    real = dy._new
+
+    def counting(cls):
+        built.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(dy, "_new", counting)
+    for node in nodes:
+        node._raw(200)
+    assert built == []

@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from certreal import intervals, lang, prover
-from certreal.dyadic import ONE, ZERO, dyadic
+from certreal.dyadic import ONE, ZERO, ceil_scaled, dyadic, floor_scaled
 from certreal.errors import DomainUndetermined, DomainViolation
-from certreal.intervals import (Interval, conformance_check, eval_interval,
-                                iadd, idiv, imul, ineg, irecip, isub)
+from certreal.intervals import Interval, conformance_check, eval_interval
 
 dyadics = st.builds(dyadic, st.integers(-(1 << 80), 1 << 80),
                     st.integers(-90, 40))
@@ -26,17 +25,49 @@ def boxes(draw):
     return Interval(min(a, b), max(a, b))
 
 
+def _value(p):
+    """The value of a pair (n, a), meaning n * 2**-a."""
+    n, a = p
+    return Fraction(n, 1 << a) if a >= 0 else Fraction(n << -a)
+
+
+def _scaled(iv, w):
+    """A box rounded outward onto the 2**-w grid, as ints at scale w: a
+    box that holds it, as the interval backend carries one."""
+    lo, hi = iv.lo, iv.hi
+    return (floor_scaled(lo.mantissa, -lo.exponent, w),
+            ceil_scaled(hi.mantissa, -hi.exponent, w))
+
+
+def _hull(lo, hi, w):
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+
+
+_SPAN = (0, 0)
+
+
+def _eval_on_boxes(op, a, b, w):
+    """intervals._eval of `x op y` at w (of `-x` for op None), where the
+    enclosures of the calls x and y are the boxes a and b on the 2**-w
+    grid, put in the pass memo."""
+    x = lang.Call("exp", lang.Num(1, 1, _SPAN), _SPAN)
+    y = lang.Call("sin", lang.Num(1, 1, _SPAN), _SPAN)
+    sh = lang.Sharing(lang.BinOp("+", x, y, _SPAN))
+    sh.enclosures = {(sh.ids[id(x)], w): _scaled(a, w),
+                     (sh.ids[id(y)], w): _scaled(b, w)}
+    e = lang.Neg(x, _SPAN) if op is None else lang.BinOp(op, x, y, _SPAN)
+    return intervals._eval(e, w, sh)
+
+
 def test_interval_invariants():
     with pytest.raises(ValueError):
         Interval(ONE, ZERO)
     iv = Interval(ZERO, ONE)
     assert iv.width() == ONE
-    assert iv.midpoint() == dyadic(1, -1)
-    assert iv.radius() == dyadic(1, -1)
     assert iv.contains(dyadic(1, -3))
     assert not iv.contains(dyadic(-1))
     assert iv.contains_zero() and not iv.strictly_positive()
-    assert intervals.point(ONE).width().is_zero()
+    assert Interval(ONE, ONE).width().is_zero()
 
 
 def test_one_interval_class_and_no_import_per_call():
@@ -58,38 +89,54 @@ def test_one_interval_class_and_no_import_per_call():
 
 @given(boxes(), boxes(), st.integers(4, 120))
 def test_outward_ops_contain_exact_hull(a, b, w):
-    for op, f in ((iadd, lambda x, y: x + y), (isub, lambda x, y: x - y),
-                  (imul, lambda x, y: x * y)):
-        r = op(a, b, w)
-        for xa in (a.lo, a.hi):
-            for xb in (b.lo, b.hi):
-                v = f(xa.as_fraction(), xb.as_fraction())
-                assert r.lo.as_fraction() <= v <= r.hi.as_fraction()
-    n = ineg(a)
-    assert n.lo == -a.hi and n.hi == -a.lo
+    ga, gb = _hull(*_scaled(a, w), w), _hull(*_scaled(b, w), w)
+    for op, f in (("+", lambda x, y: x + y), ("-", lambda x, y: x - y),
+                  ("*", lambda x, y: x * y)):
+        values = [f(xa, xb) for xa in ga for xb in gb]
+        lo, hi = _hull(*_eval_on_boxes(op, a, b, w), w)
+        assert lo <= min(values) and max(values) <= hi
+        # sums and differences are exact, products one step outward
+        step = 0 if op != "*" else Fraction(1, 1 << w)
+        assert min(values) - lo <= step and hi - max(values) <= step
+    lo, hi = _scaled(a, w)
+    assert _eval_on_boxes(None, a, b, w) == (-hi, -lo)
 
 
 @given(boxes(), st.integers(4, 120))
 def test_irecip_contains_and_guards(b, w):
-    if b.contains_zero():
+    # the reciprocal is the quotient of the point 1 by b on the grid
+    blo, bhi = _scaled(b, w)
+    if blo <= 0 <= bhi:
         with pytest.raises(DomainUndetermined):
-            irecip(b, w)
+            _eval_on_boxes("/", Interval(ONE, ONE), b, w)
         return
-    r = irecip(b, w)
-    for xb in (b.lo, b.hi):
-        v = 1 / xb.as_fraction()
-        assert r.lo.as_fraction() <= v <= r.hi.as_fraction()
+    lo, hi = _hull(*_eval_on_boxes("/", Interval(ONE, ONE), b, w), w)
+    for xb in _hull(blo, bhi, w):
+        assert lo <= 1 / xb <= hi
 
 
 @given(boxes(), boxes(), st.integers(4, 120))
 def test_idiv_contains_endpoint_quotients(a, b, w):
-    if b.contains_zero():
+    blo, bhi = _scaled(b, w)
+    if blo <= 0 <= bhi:
         return
-    r = idiv(a, b, w)
-    for xa in (a.lo, a.hi):
-        for xb in (b.lo, b.hi):
-            v = xa.as_fraction() / xb.as_fraction()
-            assert r.lo.as_fraction() <= v <= r.hi.as_fraction()
+    lo, hi = _hull(*_eval_on_boxes("/", a, b, w), w)
+    for xa in _hull(*_scaled(a, w), w):
+        for xb in _hull(blo, bhi, w):
+            assert lo <= xa / xb <= hi
+
+
+@given(boxes(), boxes(), st.integers(4, 120))
+def test_tan_quotient_contains_endpoint_quotients(a, b, w):
+    # tan divides its sin and cos enclosures at w + 4 into one at w,
+    # through the reciprocal at w + 2
+    (alo, ahi), (blo, bhi) = _scaled(a, w + 4), _scaled(b, w + 4)
+    if blo <= 0 <= bhi:
+        return
+    lo, hi = _hull(*intervals._div(alo, ahi, blo, bhi, 4, w), w)
+    for xa in _hull(alo, ahi, w + 4):
+        for xb in _hull(blo, bhi, w + 4):
+            assert lo <= xa / xb <= hi
 
 
 @settings(max_examples=40)
@@ -97,20 +144,19 @@ def test_idiv_contains_endpoint_quotients(a, b, w):
        st.integers(4, 110))
 def test_point_evaluators_honest(v, t):
     tol = Fraction(1, 2 ** t)
-    x = dyadic(round(v * (1 << 40)), -40)
-    xf = x.as_fraction()
+    x = (round(v * (1 << 40)), 40)
+    xf = _value(x)
     lo, hi = oracles.exp_bounds(xf, t + 12)
-    assert lo - tol <= intervals._exp_point(x, t).as_fraction() <= hi + tol
+    assert lo - tol <= _value(intervals._exp_point(x, t)) <= hi + tol
     slo, shi = oracles.sin_bounds(xf, t + 12)
     sv = intervals._sincos_point(x, t, want_sin=True)
-    assert slo - tol <= sv.as_fraction() <= shi + tol
+    assert slo - tol <= _value(sv) <= shi + tol
     clo, chi = oracles.cos_bounds(xf, t + 12)
     cv = intervals._sincos_point(x, t, want_sin=False)
-    assert clo - tol <= cv.as_fraction() <= chi + tol
+    assert clo - tol <= _value(cv) <= chi + tol
     if xf > 0:
         llo, lhi = oracles.ln_bounds(xf, t + 12)
-        assert llo - tol <= intervals._ln_point(x, t).as_fraction() \
-            <= lhi + tol
+        assert llo - tol <= _value(intervals._ln_point(x, t)) <= lhi + tol
 
 
 # past the widths where the reductions start to run deeper than the
@@ -120,9 +166,10 @@ HIGH_T = (900, 1500, 2500, 4000)
 
 def _seeded_dyadics(rng, bound):
     """Both ends of [-bound, bound] and seeded dyadics inside it, one of
-    them in [-1, 1], where every reduction step is an extra one."""
-    return [dyadic(-bound), dyadic(bound)] + [
-        dyadic(rng.randint(-b << 16, b << 16), -16) for b in (1, bound, bound)]
+    them in [-1, 1], where every reduction step is an extra one, as
+    pairs (n, a) meaning n * 2**-a."""
+    return [(-bound, 0), (bound, 0)] + [
+        (rng.randint(-b << 16, b << 16), 16) for b in (1, bound, bound)]
 
 
 @pytest.mark.parametrize("t", HIGH_T)
@@ -130,15 +177,15 @@ def test_point_evaluators_honest_at_high_precision(t):
     rng = random.Random(f"points-{t}")
     tol = Fraction(1, 2 ** t)
     for x in _seeded_dyadics(rng, 16):
-        lo, hi = oracles.exp_bounds(x.as_fraction(), t + 12)
-        assert lo - tol <= intervals._exp_point(x, t).as_fraction() <= hi + tol
+        lo, hi = oracles.exp_bounds(_value(x), t + 12)
+        assert lo - tol <= _value(intervals._exp_point(x, t)) <= hi + tol
     for x in _seeded_dyadics(rng, 60):
-        slo, shi = oracles.sin_bounds(x.as_fraction(), t + 12)
+        slo, shi = oracles.sin_bounds(_value(x), t + 12)
         sv = intervals._sincos_point(x, t, want_sin=True)
-        assert slo - tol <= sv.as_fraction() <= shi + tol
-        clo, chi = oracles.cos_bounds(x.as_fraction(), t + 12)
+        assert slo - tol <= _value(sv) <= shi + tol
+        clo, chi = oracles.cos_bounds(_value(x), t + 12)
         cv = intervals._sincos_point(x, t, want_sin=False)
-        assert clo - tol <= cv.as_fraction() <= chi + tol
+        assert clo - tol <= _value(cv) <= chi + tol
 
 
 # ln of a full-width argument, exp(r) rounded down, for r whose window
@@ -153,7 +200,7 @@ LN_FULL_WIDTH = [(t, r) for t in HIGH_T
 @pytest.mark.parametrize("t, r", LN_FULL_WIDTH)
 def test_ln_point_honest_on_full_width_arguments(t, r):
     n, err = oracles.ln_of_floor_exp(Fraction(r), t + 16)
-    got = intervals._ln_point(dyadic(n, -(t + 16)), t).as_fraction()
+    got = _value(intervals._ln_point((n, t + 16), t))
     assert abs(got - Fraction(r)) <= Fraction(1, 2 ** t) + err
 
 
@@ -255,12 +302,13 @@ def test_retry_schedule(case, monkeypatch):
         if node is not e:
             return honest(node, w, sh)
         try:
-            iv = honest(node, w, sh)
+            lo, hi = honest(node, w, sh)
         except DomainUndetermined:
             seen.append((w, None))
             raise
-        seen.append((w, iv.width() <= dyadic(1, 1 - k)))
-        return iv
+        # the width (hi - lo) 2**-w against 2**(1-k)
+        seen.append((w, Fraction(hi - lo, 1 << w) <= Fraction(2, 1 << k)))
+        return lo, hi
 
     monkeypatch.setattr(intervals, "_eval", recording)
     if bounds is None:
@@ -275,6 +323,30 @@ def test_retry_schedule(case, monkeypatch):
     lo, hi = bounds(k + 240)
     assert res.interval.lo.as_fraction() <= lo
     assert hi <= res.interval.hi.as_fraction()
+
+
+@pytest.mark.parametrize("text, k", [
+    ("exp(0.3) * sin(1.2) - cos(0.7) / (2 + 0.5) * -exp(0 - 1.5)", 40),
+    ("exp(exp(2.5))", 10),      # converges on the second pass
+])
+def test_eval_interval_builds_only_its_endpoints(text, k, monkeypatch):
+    # the passes run on int pairs: the one Interval returned holds the
+    # only two BigDyadic objects built
+    import importlib
+
+    dy = importlib.import_module("certreal.dyadic")
+    e = lang.parse_expression(text)
+    built = []
+    real = dy._new
+
+    def counting(cls):
+        built.append(cls)
+        return real(cls)
+
+    monkeypatch.setattr(dy, "_new", counting)
+    res = eval_interval(e, k)
+    assert res.converged
+    assert len(built) == 2
 
 
 def test_sin_cos_enclosures_stay_in_unit_range():
@@ -329,9 +401,9 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
     from certreal import creal, functions, kernels
 
     honest = creal.grid_round
-    exp3 = intervals._exp_point(dyadic(3), 2000)
-    sin7 = intervals._sincos_point(dyadic(7), 2000, want_sin=True)
-    ln3 = intervals._ln_point(dyadic(3), 2000)
+    exp3 = intervals._exp_point((3, 0), 2000)
+    sin7 = intervals._sincos_point((7, 0), 2000, want_sin=True)
+    ln3 = intervals._ln_point((3, 0), 2000)
     # 3 and 7 need 3 halvings and 2 triplings for their range
     cases = ((functions.exp(creal.const(1) + 2),
               3 + kernels.extra_halvings(2000)),
@@ -360,9 +432,9 @@ def test_each_backend_keeps_its_own_rounding(monkeypatch):
         raise AssertionError("interval backend used creal.grid_round")
 
     monkeypatch.setattr(creal, "grid_round", broken)
-    assert intervals._exp_point(dyadic(3), 2000) == exp3
-    assert intervals._sincos_point(dyadic(7), 2000, want_sin=True) == sin7
-    assert intervals._ln_point(dyadic(3), 2000) == ln3
+    assert intervals._exp_point((3, 0), 2000) == exp3
+    assert intervals._sincos_point((7, 0), 2000, want_sin=True) == sin7
+    assert intervals._ln_point((3, 0), 2000) == ln3
 
 
 def test_tan_evaluates_its_argument_once(monkeypatch):

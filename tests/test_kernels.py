@@ -300,8 +300,9 @@ def test_constants_against_independent_routes_at_20000_bits():
     # 2**-(t+2) and at most 2**-(t+1) in size then gives |d| < 2**-t
     p = kernels.pi_within(t)
     assert 3 < p.as_fraction() < Fraction(16, 5)
-    s = kernels.sincos_reduced(lambda _: p, 4, t + 2, True, round_scaled)
-    assert abs(s.as_fraction()) <= Fraction(1, 1 << (t + 1))
+    s, a = kernels.sincos_reduced(lambda _: (p.mantissa, -p.exponent), 4,
+                                  t + 2, True, round_scaled)
+    assert abs(Fraction(s, 1 << a)) <= Fraction(1, 1 << (t + 1))
     tol = Fraction(2, 1 << t)
     ln2 = -kernels.ln1p_within(dyadic(-1, -1), t)
     assert abs((kernels.ln2_within(t) - ln2).as_fraction()) <= tol
