@@ -265,11 +265,19 @@ class _Mul(CReal):
             # hits its own memo: with d = 2**-(j+3+ax),
             #   |x**2 - v**2| = |x - v| |x + v| <= d (2**(ax+1) + d)
             #                 = 2**-(j+2) + d**2,
-            # and the rounding adds 2**-(j+2), within 2**-j in all
+            # and the rounding adds 2**-(j+2), within 2**-j in all.
+            # One bit of the read is spare: at j + 2 + ax the total is
+            # (3/4) 2**-j + d**2, so no leaf can show that read short
             v = x._raw(j + 3 + ax)
             return grid_round(v * v, 2 * (j + 5 + ax), j + 1) << 1
         ay = _log2_bound(y._grid(0))
-        # the operands' scales are 2**-(j+4+ay) and 2**-(j+5+ax)
+        # the operands' scales are 2**-(j+4+ay) and 2**-(j+5+ax):
+        #   |xy - uv| <= |x| |y - v| + |v| |x - u|
+        #             <= 2**-(j+3) + (2**ay + 2**-(j+3+ax)) 2**-(j+2+ay)
+        #             = 2**-(j+3) + 2**-(j+2) + e,  e <= 2**-(j+5),
+        # and the rounding adds 2**-(j+2): (5/8) 2**-j + e.  The first
+        # read has a spare bit: at j + 1 + ay the total is
+        # (7/8) 2**-j + 2e < 2**-j, so no leaf can show it short
         return grid_round(x._raw(j + 2 + ay) * y._raw(j + 3 + ax),
                           2 * j + 9 + ax + ay, j + 1) << 1
 
@@ -321,7 +329,9 @@ class _Recip(CReal):
         # |x| > 2**-c, so at operand precision p the relative setup gives
         # |1/x - 1/xv| <= 2**(2c - p + 1); p = j + 2c + 3 puts that at
         # 2**-(j+2), and the nearest point of the 2**-(j+2) grid to
-        # 1/xv = 2**(j+2c+5) / n adds 2**-(j+3)
+        # 1/xv = 2**(j+2c+5) / n adds 2**-(j+3): (3/8) 2**-j.  One bit
+        # of p is spare: at j + 2c + 2 the total is (5/8) 2**-j, so no
+        # leaf can show that read short
         n = self.x._raw(j + 2 * c + 3)
         assert n != 0
         q = div_nearest(1 << (2 * j + 2 * c + 7), abs(n))

@@ -6,11 +6,15 @@ of the argument and hands the rest to the shared kernels layer
 argument at the precision their budget needs and return a value within
 2**-(j+1), and the constants, atan_rat, and exp, sin, cos and ln of a
 literal (where the kernels' predicates say it pays) to its binary
-splitting.  The reductions take and return scaled integers: a node
-hands them its argument's raw values as pairs, s -> (raw(s), s + 2),
-and gets back a pair (v, s) meaning v * 2**-s; the binary splitting
-returns a dyadic.  Either result becomes a raw value, an int at scale
-2**-(j+2), by one rounding to the 2**-(j+1) grid (``_rounded``).
+splitting.  tan is one node (_Tan): sin and cos of its argument as
+one pair from one reduction (or, for a literal, the two splits), then
+one quotient rounded to the raw grid, with the precision of the cosine
+certificate in its budget.  The reductions take and return scaled
+integers: a node hands them its argument's raw values as pairs,
+s -> (raw(s), s + 2), and gets back a pair (v, s) meaning v * 2**-s;
+the binary splitting returns a dyadic.  Either result becomes a raw
+value, an int at scale 2**-(j+2), by one rounding to the 2**-(j+1)
+grid (``_rounded``).
 Every rounding here goes through creal.grid_round, looked up at each
 call, and the last one puts the result within 2**-j of the true value.
 
@@ -25,7 +29,7 @@ from typing import Callable
 from . import creal as _cr
 from . import kernels
 from .creal import ApartnessCertificate, CReal, const, lim, series_sum
-from .dyadic import BigDyadic, dyadic
+from .dyadic import BigDyadic, div_nearest, dyadic
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
@@ -93,6 +97,49 @@ class _SinCos(CReal):
             _cr.grid_round), j)
 
 
+class _Tan(CReal):
+    """tan x = sin x / cos x, from one sine and cosine pair; cert
+    certifies cos x apart from 0, so |cos x| > 2**-c for its witness
+    precision c."""
+
+    __slots__ = ("x", "cert")
+
+    def __init__(self, x: CReal, cert: ApartnessCertificate):
+        super().__init__()
+        # revalidated against a fresh cos(x) node, which is sound
+        # because approximations are deterministic
+        if not cert.revalidate(_SinCos(x, want_sin=False)):
+            raise InvalidCertificate(
+                f"apartness certificate (k={cert.witness_precision}, "
+                f"sign={cert.sign:+d}) does not hold for cos of the tan "
+                f"argument")
+        self.x, self.cert = x, cert
+
+    def _compute(self, j: int) -> int:
+        # |cos x| > 2**-k, k the certificate's witness precision; s and
+        # c within e = 2**-t of sin x and cos x, t >= k + 1, so
+        # |c| >= 2**-(k+1):
+        #   |s/c - tan x| = |(s - sin x) cos x - sin x (c - cos x)|
+        #                   / |c cos x|  <=  2e 2**(2k+1),
+        # which is 2**-(j+2) at t = j + 2k + 4; the nearest point of the
+        # 2**-(j+2) grid adds 2**-(j+3), (3/8) 2**-j in all.  One bit of
+        # t is spare by this bound: at t - 1 the total is (5/8) 2**-j
+        t = budget(j + 2 * self.cert.witness_precision + 4)
+        lit = _literal(self.x)
+        if lit is not None and kernels.literal_split_pays(lit, t):
+            # both at scale 2**-(t+1), the splits' grid
+            p, q = lit.numerator, lit.denominator
+            s, c = (_cr._scaled(kernels.sincos_split(p, q, t, want), t)
+                    for want in (True, False))
+        else:
+            bound = (abs(self.x._grid(0)) + 3) >> 1
+            raw = self.x._raw
+            (s, c), _ = kernels.sincos_reduced(
+                lambda s: (raw(s), s + 2), bound, t, None, _cr.grid_round)
+        return div_nearest(s << (j + 2) if c > 0 else -s << (j + 2),
+                           abs(c))
+
+
 class _Ln(CReal):
     __slots__ = ("x", "cert")
 
@@ -138,15 +185,15 @@ class _Ladder(CReal):
 
     within(t) must return the constant within 2**-t.  The raw value at
     j is rounded from the value at rung J = ladder_rung(j), computed
-    once per rung; see "Constant ladder" in kernels.py.
+    once per rung (kernels.rung_value); see "Constant ladder" in
+    kernels.py.
     """
 
-    __slots__ = ("within", "_rungs")
+    __slots__ = ("within",)
 
     def __init__(self, within: Callable[[int], BigDyadic]):
         super().__init__()
         self.within = within
-        self._rungs: dict = {}
 
     def _raw(self, j: int) -> int:
         # a stream of fresh precisions would grow the shared node's memo
@@ -158,11 +205,7 @@ class _Ladder(CReal):
         return super()._raw(j)
 
     def _compute(self, j: int) -> int:
-        rung = kernels.ladder_rung(j)
-        # get and setdefault are each atomic, as in CReal._raw
-        v = self._rungs.get(rung)
-        if v is None:
-            v = self._rungs.setdefault(rung, self.within(rung + 1))
+        v = kernels.rung_value(self.within, j)
         return _rounded(v.mantissa, -v.exponent, j)
 
 
@@ -296,11 +339,9 @@ def cos(x) -> CReal:
 def tan(x, cert: ApartnessCertificate) -> CReal:
     """tan(x) = sin(x) / cos(x); cert must certify cos(x) apart from 0.
 
-    The certificate is revalidated against a fresh cos(x) node, which
-    is sound because approximations are deterministic.
+    The certificate is revalidated against a fresh cos(x) node.
     """
-    xc = _cr._coerce(x)
-    return _cr._Mul(sin(xc), _cr._Recip(cos(xc), cert))
+    return _Tan(_cr._coerce(x), cert)
 
 
 def ln(x, cert: ApartnessCertificate) -> CReal:

@@ -15,10 +15,15 @@ Sums, differences and negation are exact.  A product takes the hull
 of the four endpoint products, at scale 2w, floored and ceiled to w.
 A quotient multiplies by the reciprocal on the 2**-(w+2) grid.  exp,
 ln and pi widen a point value within 2**-(w+2) by that much and round
-outward; sin and cos, which are 1-Lipschitz, evaluate at the exact
-midpoint, lo + hi at scale w + 1, and widen by the radius, hi - lo at
-that scale, too.  eval_interval builds the one public Interval of two
-dyadics from the pair its last pass returns.
+outward (pi, and ln 2 inside ln, are read off the constant ladder's
+rungs, kernels.rung_value); sin and cos, which are 1-Lipschitz,
+evaluate at the exact midpoint, lo + hi at scale w + 1, and widen by
+the radius, hi - lo at that scale, too.  tan takes its sine and cosine
+enclosures from one pair of the reduction at that midpoint, and so do
+sin and cos of an argument that occurs under both (lang.Sharing's
+``paired``), one pair per argument and working precision.
+eval_interval builds the one public Interval of two dyadics from the
+pair its last pass returns.
 
 The point of having two backends is cross-checking: conformance_check
 compares an interval enclosure against the approximation backend's
@@ -27,7 +32,8 @@ are disjoint, which would mean one of the two is wrong.
 
 When an expression or query repeats a subterm, each distinct call and
 pi is computed once per working precision: the evaluation memoizes
-their enclosures by (structure id, precision) on the lang.Sharing it is
+their enclosures by (structure id, precision), and the sine and cosine
+pairs by ("pair", argument id, precision), on the lang.Sharing it is
 given, which prove() and conformance_check() build once per call.  An
 enclosure depends on the subterm and the precision alone, so a hit from
 another pass, or from the other side of a query, returns the very
@@ -103,17 +109,18 @@ def _exp_point(x: tuple[int, int], t: int) -> tuple[int, int]:
                                round_scaled)
 
 
-def _sincos_point(x: tuple[int, int], t: int,
-                  want_sin: bool) -> tuple[int, int]:
-    """sin(x), or cos(x), within 2**-t, for an exact x."""
+def _sincos_point(x: tuple[int, int], t: int, want_sin: bool | None):
+    """sin(x), or cos(x), within 2**-t, for an exact x; with want_sin
+    None, both, as ((sin, cos), s) from one reduction."""
     n, a = x
     return kernels.sincos_reduced(lambda s: x, ceil_scaled(abs(n), a, 0),
                                   t, want_sin, round_scaled)
 
 
 def _ln2(s: int) -> tuple[int, int]:
-    """ln 2 within 2**-s, as a pair: ln_reduced's ln2(s)."""
-    d = kernels.ln2_within(s)
+    """ln 2 within 2**-s, as a pair: ln_reduced's ln2(s), off the
+    ladder's rungs."""
+    d = kernels.rung_value(kernels.ln2_within, s)
     return d.mantissa, -d.exponent
 
 
@@ -129,24 +136,30 @@ def _ln_point(x: tuple[int, int], t: int) -> tuple[int, int]:
 
 # -- expression evaluation ------------------------------------------------
 
-def _sincos_enclosure(lo: int, hi: int, want_sin: bool,
-                      w: int) -> tuple[int, int]:
+def _sincos_enclosure(lo: int, hi: int, want_sin: bool | None, w: int):
     # sin and cos are 1-Lipschitz: the value at the midpoint, widened by
     # the radius, encloses the image of [lo, hi]; the point is at a
-    # scale s >= w + 2, where the radius and its error 2**-(w+2) are ints
+    # scale s >= w + 2, where the radius and its error 2**-(w+2) are
+    # ints.  With want_sin None, the sine's and the cosine's enclosures
+    # from one pair at the midpoint
     v, s = _sincos_point((lo + hi, w + 1), w + 2, want_sin)
     r = ((hi - lo) << (s - w - 1)) + (1 << (s - w - 2))
     # |sin|, |cos| <= 1: clipping is sound and keeps tan stable; v lies
     # in [-1, 1], so each end can leave it on its outer side only
     one = 1 << w
-    return (max(-one, floor_scaled(v - r, s, w)),
-            min(one, ceil_scaled(v + r, s, w)))
+
+    def widened(v):
+        return (max(-one, floor_scaled(v - r, s, w)),
+                min(one, ceil_scaled(v + r, s, w)))
+
+    return widened(v) if want_sin is not None else tuple(map(widened, v))
 
 
 def _eval(e, w: int, sh) -> tuple[int, int]:
     # the enclosure (lo, hi) of e at scale w; sh is the lang.Sharing of
     # a tree containing e, whose enclosures memo, when there is one,
-    # holds calls and pi keyed by (structure id, w)
+    # holds calls and pi keyed by (structure id, w), and sine and cosine
+    # pairs by ("pair", argument id, w)
     if isinstance(e, lang.Num):
         # w >= 12 here; an integer gives the point [num, num]
         scaled = e.num << w
@@ -176,7 +189,7 @@ def _eval(e, w: int, sh) -> tuple[int, int]:
         if isinstance(e, lang.Call):
             iv = _call(e, w, sh)
         else:
-            p = kernels.pi_within(w + 2)
+            p = kernels.rung_value(kernels.pi_within, w + 2)
             iv = _widened(p.mantissa, -p.exponent, w)
         if memo is not None:
             memo[key] = iv
@@ -188,16 +201,25 @@ def _eval(e, w: int, sh) -> tuple[int, int]:
 
 def _call(e, w: int, sh) -> tuple[int, int]:
     # the enclosure of the call e at w, for _eval to memoize; tan is the
-    # quotient of sine and cosine enclosures taken from one enclosure of
-    # its argument, four bits finer
+    # quotient of the sine and cosine enclosures of one pair, taken from
+    # one enclosure of its argument, four bits finer
     if e.fn == "tan":
         lo, hi = _eval(e.arg, w + 4, sh)
-        slo, shi = _sincos_enclosure(lo, hi, True, w + 4)
-        clo, chi = _sincos_enclosure(lo, hi, False, w + 4)
+        (slo, shi), (clo, chi) = _sincos_enclosure(lo, hi, None, w + 4)
         if clo <= 0 <= chi:
             raise DomainUndetermined(
                 w, "cos enclosure for tan does not exclude 0")
         return _div(slo, shi, clo, chi, 4, w)
+    if e.fn in ("sin", "cos") and sh.ids[id(e.arg)] in sh.paired:
+        # sin and cos of this argument both occur: one pair per
+        # (argument, w), kept in the memo beside the calls
+        key = ("pair", sh.ids[id(e.arg)], w)
+        memo = sh.enclosures if sh.enclosures is not None else {}
+        pair = memo.get(key)
+        if pair is None:
+            pair = memo[key] = _sincos_enclosure(*_eval(e.arg, w, sh),
+                                                 None, w)
+        return pair[e.fn == "cos"]
     lo, hi = _eval(e.arg, w, sh)
     if e.fn == "exp":
         return (_widened(*_exp_point((lo, w), w + 2), w)[0],

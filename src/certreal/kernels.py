@@ -97,6 +97,16 @@ amp = 4 m + 1 and ts = t + 3 + amp.
   cos are 1-Lipschitz, so at most 2**-ts.
 - Series: at most 2**-ts; v_0 is within 2**-(ts-1) of the reduced
   value.
+- Pair: asked for both, the reduction reads x and divides it once as
+  above, and runs the sine series once, at ts + 2 (ts >= 4), so S is
+  within 2**-(ts+2) of sin r.  |r| <= 1 + 2**-ts < pi/2, so
+  cos r = sqrt(1 - sin**2 r), and |sin r| < 0.874 and |S| < 0.89,
+  where sqrt(1 - u**2) has slope under 2 in u (tan r < 1.56 as ts
+  grows).  C = isqrt(2**(2s) - S**2), a floor at the series' width s,
+  is then within 2**-(ts+1) + 2**-s of cos r.  With the argument's
+  2**-ts, both start within 2**-(ts-1), as one value does, and each
+  runs its own untriplings at ts: one series and one isqrt stand in
+  for the second series.
 - Untriplings: the secant slope of either map between two points of
   [-1, 1] is at most 9 in size, which is under the 2**4 charged per
   step, and clamping moves toward the true value.  Each rounding adds
@@ -202,7 +212,8 @@ ln(a/b) = e ln 2 + 2 atanh(p/q).
 
 Routes.  The approximation backend sums exp, sin and cos of a literal
 (an exact rational, or its negation) by ``exp_split`` and
-``sincos_split`` when ``literal_split_pays(x, t)`` says so, and ln of
+``sincos_split`` (tan: both of one literal) when
+``literal_split_pays(x, t)`` says so, and ln of
 one by the window's atanh when ``split_pays(q, t)`` does; otherwise it
 takes the reductions above.  The interval backend always takes the
 reductions, so for literal arguments the two backends run different
@@ -261,11 +272,15 @@ scale 2**-(j+2)),
 
 where ``ladder_rung`` rounds j up to its three leading bits, so
 j <= J < 1.25 j (J = j below 8), and ``within`` is ``pi_within`` or
-``ln2_within``.  within(J + 1) is computed once per rung and kept;
-every other precision up to that rung is a grid rounding of it.  The
-node keeps at most 256 of those roundings (functions._LADDER_MEMO) and
-then starts over, so a stream of fresh precisions does not grow the
-shared node's memory.
+``ln2_within``.  within(J + 1) is computed once per rung and kept in
+one process-wide memo, ``rung_value``; every other precision up to
+that rung is a grid rounding of it.  The node keeps at most 256 of
+those roundings (functions._LADDER_MEMO) and then starts over, so a
+stream of fresh precisions does not grow the shared node's memory.
+The interval backend reads the same rungs for pi and ln 2: at working
+precision w it widens rung_value(within, w + 2), within
+2**-(J+1) <= 2**-(w+3), by 2**-(w+2), and ln_reduced's ln2(s) is
+rung_value(ln2_within, s), within 2**-(s+1).
 
 - Error: 2**-(J+1) + 2**-(j+2) <= (3/4) 2**-j, inside the raw
   contract of 2**-j.
@@ -519,10 +534,11 @@ def exp_reduced(arg, hi: int, a: int, t: int, rnd) -> tuple[int, int]:
     return v, s
 
 
-def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
-                   rnd) -> tuple[int, int]:
+def sincos_reduced(arg, bound: int, t: int, want_sin: Optional[bool],
+                   rnd):
     """sin(x), or cos(x), within 2**-t, as (v, s) meaning v * 2**-s, for
-    x with |x| <= bound, an int.
+    x with |x| <= bound, an int; with want_sin None, both, as
+    ((sin, cos), s) from one reduction.
 
     ``arg`` and ``rnd`` are as for exp_reduced.
     """
@@ -545,10 +561,24 @@ def sincos_reduced(arg, bound: int, t: int, want_sin: bool,
         else:
             x = div_nearest(x, p3 << -shift)
         a = g
+    if want_sin is None:
+        # the pair: sin r two bits finer, and cos r = sqrt(1 - sin**2 r)
+        # floored at the series' width
+        v, s = _fixed(sin_series, _cap_sin, x, a, ts + 2)
+        c = isqrt((1 << 2 * s) - v * v)
+        vs, ss = _untriple(v, s, m, True, ts, rnd)
+        return (vs, _untriple(c, s, m, False, ts, rnd)[0]), ss
     if want_sin:
         v, s = _fixed(sin_series, _cap_sin, x, a, ts)
     else:
         v, s = _fixed(cos_series, _cap_cos, x, a, ts)
+    return _untriple(v, s, m, want_sin, ts, rnd)
+
+
+def _untriple(v: int, s: int, m: int, want_sin: bool, ts: int,
+              rnd) -> tuple[int, int]:
+    """m triple-angle steps from sin or cos of x / 3**m, v * 2**-s, each
+    rounded to the 2**-ts grid."""
     # v * 2**-s, clamped to [-1, 1] before each map and at the end
     for _ in range(m):
         v = max(-1 << s, min(v, 1 << s))
@@ -842,4 +872,20 @@ def ladder_rung(j: int) -> int:
     """j rounded up to its three leading bits: j <= rung < 1.25 j."""
     s = max(0, j.bit_length() - 3)
     return -(-j >> s) << s
+
+
+# within(J + 1) per (within, J = ladder_rung(j)), for every reader of a
+# ladder constant in the process ("Constant ladder" above)
+_RUNGS: dict = {}
+
+
+def rung_value(within: Callable[[int], BigDyadic], j: int) -> BigDyadic:
+    """within(J + 1) for J = ladder_rung(j), computed once per rung: the
+    constant within 2**-(J+1) <= 2**-(j+1)."""
+    key = (within, ladder_rung(j))
+    # get and setdefault are each atomic, as in CReal._raw
+    v = _RUNGS.get(key)
+    if v is None:
+        v = _RUNGS.setdefault(key, within(key[1] + 1))
+    return v
 

@@ -107,9 +107,13 @@ FUNCTIONS = ("exp", "sin", "cos", "tan", "ln")
 # with more than 150 to spare for the caller.  The parser spends four
 # frames per group; Sharing, _elab, the interval evaluation and
 # format_expr one per node; and CReal._raw at most four per unit of
-# height, as under 1/(1/(...)).  A tan is a quotient of sine and cosine
-# nodes, which puts about seven frames on that walk, so it counts two
-# units; without the weight, nested tan overflows at 150 levels.
+# height, as under 1/(1/(...)).  A tan is one node (functions._Tan) and
+# takes about four frames per level on that walk, as sin does, so the
+# stack alone would let it count one unit.  It counts two for cost:
+# each level's certificate search reads the whole chain inside it, so
+# nested tan costs about the square of its depth, and
+# `prove --backend both` took 6-8 s at 199 levels against about 0.5 s
+# at 99 (on two shared x86-64 cores).
 DEPTH_LIMIT = 200
 TAN_HEIGHT = 2
 
@@ -434,10 +438,13 @@ class Sharing:
     ``enclosures`` is the interval backend's memo, one enclosure per
     call or pi structure id and working precision, shared by every
     intervals.eval_interval pass given this Sharing; it is None, and
-    nothing is memoized, when no structure occurs twice.
+    nothing is memoized, when no structure occurs twice.  ``paired``
+    holds the ids of the arguments that occur under both a sin and a
+    cos; the interval backend takes their sine and cosine from one
+    pair per working precision, kept in the same memo.
     """
 
-    __slots__ = ("ids", "nodes", "enclosures")
+    __slots__ = ("ids", "nodes", "enclosures", "paired")
 
     def __init__(self, root):
         table = {}
@@ -445,6 +452,8 @@ class Sharing:
         self.nodes = {}
         _intern(root, table, self.ids)
         self.enclosures = {} if len(table) < len(self.ids) else None
+        self.paired = frozenset(k[1] for k in table
+                                if k[0] == "sin" and ("cos", k[1]) in table)
 
 
 def _intern(n, table: dict, ids: dict) -> int:
@@ -549,12 +558,11 @@ def _elab(node, budget: DomainBudget, ids: dict, nodes: dict) -> creal.CReal:
                     f"precision 2^-{cert.witness_precision})")
             x = functions.ln(arg, cert)
         elif node.fn == "tan":
-            # tan(x) = sin(x) / cos(x), dividing by the cos node the
-            # search certified
-            co = functions.cos(arg)
-            cert = _find_apart_or_raise(co, node.span, budget,
-                                        "cos of the tan argument")
-            x = creal.div(functions.sin(arg), co, cert)
+            # one node, from one sine and cosine pair; the search
+            # certifies a cos node of the argument
+            cert = _find_apart_or_raise(functions.cos(arg), node.span,
+                                        budget, "cos of the tan argument")
+            x = functions.tan(arg, cert)
         else:
             raise AssertionError(f"unknown function {node.fn!r}")
     else:

@@ -426,14 +426,14 @@ def test_selftest_run_validates_precisions():
 
 # -- entry points ----------------------------------------------------------
 
-def _run_module(*args, timeout=120):
+def _run_module(*args, timeout=120, module="certreal.cli"):
     # the module entry point as a fresh process, with the package taken
     # from this checkout's src
     src = str(Path(__file__).parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + os.pathsep + path if path else src)
-    return subprocess.run([sys.executable, "-m", "certreal.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, timeout=timeout,
                           env=env)
 
@@ -445,6 +445,13 @@ def test_module_entry_point_runs():
     proc = _run_module("prove", "sin(1) < 1")
     assert proc.returncode == 0, proc.stderr
     assert "Proved" in proc.stdout
+
+
+def test_package_runs_as_a_module():
+    # python -m certreal, from a source checkout
+    proc = _run_module("selftest", "--quick", module="certreal")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS: "), proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("certreal") is None,

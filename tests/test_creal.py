@@ -566,6 +566,7 @@ def test_every_node_kind_has_an_int_raw_value():
              recip(x, find_apart(x)), lim(lambda n: x, lambda k: 0),
              series_sum(lambda n: const(1, 1 << n), lambda k: k + 1),
              functions.exp(x), functions.sin(x), functions.cos(x),
+             functions.tan(x, find_apart(functions.cos(x))),
              functions.ln(x, find_apart(x)), ln2, functions.atan_rat(1, 3),
              functions.pi(), functions.pi("leibniz"),
              functions.pi("cos_iteration")]
@@ -587,6 +588,43 @@ def test_every_node_kind_has_an_int_raw_value():
                 _tol(j1) + _tol(j2)
         assert abs(node.approx(3).as_fraction() - _raw_value(node, 5)) \
             <= _tol(3)
+
+
+# dyadic arguments whose cosines, 0.93 down to 0.16 in size and of both
+# signs, admit certificates from c = 2 to 4 (oracles.py bounds tan)
+_TAN_VALUES = (dyadic(3, -3), dyadic(1), dyadic(5, -2), dyadic(45, -5),
+               dyadic(-45, -5), dyadic(-341, -10), dyadic(15))
+
+
+def test_tan_budget_under_worst_leaves():
+    # functions._Tan: the pair at t = j + 2c + 4 and one rounding; a
+    # weaker certificate (a larger c) makes the pair read finer.  c = 0
+    # and 1 never certify a cosine: they need |approx(cos x, c)| above 2
+    # and 1, which the approximations of a cosine do not reach
+    import oracles
+
+    covered = set()
+    for v in _TAN_VALUES:
+        exact = v.as_fraction()
+        bounds = {}
+        for j in range(48):
+            slo, shi = oracles.sin_bounds(exact, j + 30)
+            clo, chi = oracles.cos_bounds(exact, j + 30)
+            bounds[j] = oracles._imul(slo, shi, 1 / chi, 1 / clo)
+        sign = 1 if clo > 0 else -1
+        for leaf_sign in (1, -1):
+            x = _Worst(exact, leaf_sign)
+            for c in range(5):
+                try:
+                    t = functions.tan(x, ApartnessCertificate(c, sign))
+                except InvalidCertificate:
+                    continue
+                covered.add(c)
+                for j in range(48):
+                    lo, hi = bounds[j]
+                    assert lo - _tol(j) <= _raw_value(t, j) <= hi + _tol(j), \
+                        (v, leaf_sign, c, j)
+    assert covered == {2, 3, 4}
 
 
 def test_ring_walk_builds_no_dyadic(monkeypatch):

@@ -90,7 +90,7 @@ def test_tan_at_one():
     _check(t, 60, slo / chi, shi / clo)
 
 
-def test_tan_reads_the_certified_cos_node(monkeypatch):
+def test_tan_is_one_node_certified_by_one_search(monkeypatch):
     certified = []
     honest = creal.find_apart
 
@@ -100,8 +100,41 @@ def test_tan_reads_the_certified_cos_node(monkeypatch):
 
     monkeypatch.setattr(creal, "find_apart", recording)
     t = lang.elaborate(lang.parse_expression("tan(0.5)"))
+    # one search, on a cos node of the tan's own argument, whose
+    # certificate the tan node carries
     assert len(certified) == 1
-    assert isinstance(t.y, creal._Recip) and t.y.x is certified[0]
+    co = certified[0]
+    assert isinstance(t, functions._Tan)
+    assert isinstance(co, functions._SinCos) and not co.want_sin
+    assert co.x is t.x and t.cert == honest(co)
+    with pytest.raises(InvalidCertificate):
+        tan(const(1, 2), ApartnessCertificate(1, -1))
+
+
+def _count_reductions(monkeypatch):
+    calls = []
+    real = functions.kernels.sincos_reduced
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(functions.kernels, "sincos_reduced", counting)
+    return calls
+
+
+def test_nested_tan_reads_one_pair_per_level(monkeypatch):
+    # approx(256) of tan nested d deep: each level computes one pair at
+    # the precision its parent asks for, and the coarse reads for the
+    # argument bounds are left in the memos by elaboration
+    calls = _count_reductions(monkeypatch)
+    for d in range(1, 9):
+        x = lang.elaborate(lang.parse_expression("tan(" * d + "0.2"
+                                                 + ")" * d))
+        calls.clear()
+        x.approx(256)
+        assert len(calls) <= 2 * d + 2, (d, len(calls))
+        assert set(calls) == {None}
 
 
 # Above about 300 bits for exp and 1300 for sin and cos the reductions

@@ -368,7 +368,8 @@ def test_conformance_check_passes_clean_expressions():
 
 @pytest.mark.parametrize("text", (
     "exp(pi)", "sin(7)", "cos(3) * cos(3) + sin(3) * sin(3)", "tan(1.5)",
-    "exp(sin(7))", "sin(3 * 7)"))
+    "exp(sin(7))", "sin(3 * 7)", "tan(0.7 * 2)", "tan(tan(0.9))",
+    "sin(0.5 + 2) * sin(0.5 + 2) + cos(0.5 + 2) * cos(0.5 + 2)"))
 def test_conformance_check_at_high_precision(text):
     rep = conformance_check(lang.parse_expression(text), 2500)
     assert rep.passed and rep.converged, text
@@ -464,7 +465,7 @@ def test_tan_evaluates_its_argument_once(monkeypatch):
 IDENTITY = "sin(0.62) * sin(0.62) + cos(0.62) * cos(0.62)"
 
 
-def test_repeated_calls_evaluate_once_per_pass(monkeypatch):
+def _count_points(monkeypatch):
     honest = intervals._sincos_point
     calls = Counter()
 
@@ -473,13 +474,31 @@ def test_repeated_calls_evaluate_once_per_pass(monkeypatch):
         return honest(d, t, want_sin)
 
     monkeypatch.setattr(intervals, "_sincos_point", counting)
+    return calls
+
+
+def test_repeated_calls_evaluate_once_per_pass(monkeypatch):
+    calls = _count_points(monkeypatch)
     for k in (20, 300):
         calls.clear()
         assert eval_interval(lang.parse_expression(IDENTITY), k).converged
-        # one working precision per pass, and one sin and one cos at each
-        passes = {t for t, _ in calls}
-        assert set(calls) == {(t, s) for t in passes for s in (True, False)}
+        # sin and cos of one argument: one pair (want_sin None) per
+        # working precision, and a working precision per pass
+        assert {want for _, want in calls} == {None}
         assert set(calls.values()) == {1}
+
+
+def test_sharing_pairs_the_arguments_under_sin_and_cos(monkeypatch):
+    e = lang.parse_expression(
+        "sin(0.5) * cos(0.5) + sin(0.7) - cos(0.9) + tan(0.5)")
+    sh = lang.Sharing(e)
+    half = sh.ids[id(e.lhs.lhs.lhs.lhs.arg)]
+    assert sh.paired == {half}
+    # an unpaired sin or cos keeps its own reduction, and tan takes a
+    # pair of its own, four bits finer
+    calls = _count_points(monkeypatch)
+    assert eval_interval(e, 20, sh).converged
+    assert Counter(want for _, want in calls) == {None: 2, True: 1, False: 1}
 
 
 MEMO_CORPUS = [
@@ -502,19 +521,60 @@ def test_pass_memo_moves_no_enclosure(text):
 
 
 def test_memo_spans_the_two_sides_of_a_query(monkeypatch):
-    honest = intervals._sincos_point
-    calls = Counter()
-
-    def counting(d, t, want_sin):
-        calls[t, want_sin] += 1
-        return honest(d, t, want_sin)
-
-    monkeypatch.setattr(intervals, "_sincos_point", counting)
-    out = prover.prove("sin(0.62) < sin(0.62) + 1", backend="interval")
-    assert isinstance(out, prover.Proved)
+    calls = _count_points(monkeypatch)
     # the query's Sharing carries the memo across both sides and every
-    # precision of the deepening schedule
-    assert calls and set(calls.values()) == {1}
+    # precision of the deepening schedule: one sin per precision, or one
+    # pair per (argument, precision) where sin and cos or tan share it
+    for query, want in (("sin(0.62) < sin(0.62) + 1", True),
+                        ("sin(0.62) < cos(0.62) + 1", None),
+                        ("tan(0.62) < tan(0.62) + 1", None)):
+        calls.clear()
+        out = prover.prove(query, backend="interval")
+        assert isinstance(out, prover.Proved)
+        assert calls and set(calls.values()) == {1}
+        assert {w for _, w in calls} == {want}, query
+
+
+def _worst_pair(sign):
+    """kernels.sincos_reduced with pairs off by nearly their whole
+    2**-t, the sine by sign and the cosine the other way; an exact
+    argument, as the interval backend passes."""
+    honest = intervals.kernels.sincos_reduced
+
+    def pair(arg, bound, t, want_sin, rnd):
+        if want_sin is not None:
+            return honest(arg, bound, t, want_sin, rnd)
+        n, a = arg(0)
+        x, s = _value((n, a)), t + 16
+        off = sign * (Fraction(1, 1 << t) - Fraction(1, 1 << (t + 8)))
+        (slo, shi), (clo, chi) = (oracles.sin_bounds(x, s + 4),
+                                  oracles.cos_bounds(x, s + 4))
+        return (round(((slo + shi) / 2 + off) * (1 << s)),
+                round(((clo + chi) / 2 - off) * (1 << s))), s
+    return pair
+
+
+def test_pair_enclosures_hold_under_a_worst_pair(monkeypatch):
+    # the pair is taken within 2**-(w+2) at the midpoint and widened by
+    # that and the radius; a pair that spends all of it must still leave
+    # the oracle values of both ends and the midpoint inside
+    rng = random.Random("pairs")
+    for sign in (1, -1):
+        monkeypatch.setattr(intervals.kernels, "sincos_reduced",
+                            _worst_pair(sign))
+        for w in (12, 40, 100):
+            for _ in range(6):
+                lo = rng.randint(-5 << w, 5 << w)
+                for hi in (lo, lo + 1, lo + rng.randint(2, 1 << (w // 2))):
+                    encl = intervals._sincos_enclosure(lo, hi, None, w)
+                    for v in (lo, hi, Fraction(lo + hi, 2)):
+                        x = Fraction(v, 1 << w)
+                        for (elo, ehi), bounds in zip(
+                                encl, (oracles.sin_bounds,
+                                       oracles.cos_bounds)):
+                            flo, fhi = bounds(x, w + 20)
+                            assert elo <= flo * (1 << w)
+                            assert fhi * (1 << w) <= ehi, (sign, w, lo, hi)
 
 
 class _NoEnclosureMemo(lang.Sharing):

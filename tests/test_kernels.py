@@ -308,6 +308,74 @@ def test_constants_against_independent_routes_at_20000_bits():
     assert abs((kernels.ln2_within(t) - ln2).as_fraction()) <= tol
 
 
+# -- sin and cos as one pair ------------------------------------------------
+
+def _pair_args(t):
+    """(n, a, bound): both ends of [-bound, bound] for bounds that are
+    powers of 3, arguments just inside and just past 3**m, where the
+    reduction takes one division more, and a seeded one, as n * 2**-a."""
+    rng = random.Random(f"pair-{t}")
+    args = [(b * sign, 0, b) for b in (1, 27) for sign in (1, -1)]
+    for p3 in (3, 27):
+        args += [((p3 << 40) - 1, 40, p3), (-(p3 << 40) - 1, 40, p3 + 1)]
+    n = rng.randint(-60 << 20, 60 << 20)
+    return args + [(n, 20, -(-abs(n) >> 20))]
+
+
+@pytest.mark.parametrize("t", [900, 1500, 2500, 4000])
+def test_sincos_pair_within_target(t):
+    # sincos_reduced with want_sin None: sin and cos from one reduction,
+    # on exact arguments and under readers whose every value is off by
+    # its whole 2**-s, each way
+    tol = Fraction(1, 1 << t)
+    for n, a, bound in _pair_args(t):
+        x = Fraction(n, 1 << a)
+        bounds = (oracles.sin_bounds(x, t + 12), oracles.cos_bounds(x, t + 12))
+        for sign in (0, 1, -1):
+            def reader(s):
+                return (n << (s + 2 - a)) + 4 * sign, s + 2
+
+            values, w = kernels.sincos_reduced(reader, bound, t, None,
+                                               round_scaled)
+            for v, (lo, hi) in zip(values, bounds):
+                assert lo - tol <= Fraction(v, 1 << w) <= hi + tol, (x, sign)
+
+
+def _worst_sin_series(sign):
+    """A sine kernel off by nearly its whole target 2**-t, in the
+    direction of sign (t from the wrappers' width rule)."""
+    def series(r, w, cap):
+        t = w - 2 - (8 * cap + 16).bit_length()
+        lo, hi = oracles.sin_bounds(Fraction(r, 1 << w), w + 8)
+        return round(((lo + hi) / 2 + sign * (Fraction(1, 1 << t)
+                                              - Fraction(4, 1 << w)))
+                     * (1 << w))
+    return series
+
+
+def test_pair_start_spends_its_share(monkeypatch):
+    # kernels.py "Pair": from an exact argument in [-1, 1] (no division
+    # by 3, up to 1295 bits), the pair comes back as it starts: S within
+    # 2**-(ts+2) of sin x and C within 2**-(ts+1) + 2**-s of cos x, with
+    # ts = t + 4.  A sine kernel that spends its whole target pushes C
+    # to tan x 2**-(ts+2), about 0.39 2**-ts near |x| = 1
+    for sign in (1, -1):
+        monkeypatch.setattr(kernels, "sin_series", _worst_sin_series(sign))
+        for t in (8, 61, 300, 1200):
+            ts = t + 4
+            for n, a in ((1, 0), (-1, 0), ((1 << 30) - 1, 30), (3, 2)):
+                x = Fraction(n, 1 << a)
+                (s, c), w = kernels.sincos_reduced(lambda _: (n, a), 1, t,
+                                                   None, round_scaled)
+                slo, shi = oracles.sin_bounds(x, w + 8)
+                clo, chi = oracles.cos_bounds(x, w + 8)
+                tol = Fraction(1, 1 << (ts + 2))
+                assert slo - tol <= Fraction(s, 1 << w) <= shi + tol
+                tol = Fraction(1, 1 << (ts + 1)) + Fraction(1, 1 << w)
+                assert clo - tol <= Fraction(c, 1 << w) <= chi + tol, \
+                    (sign, t, x)
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30))
 def test_ln_window(a, b):
