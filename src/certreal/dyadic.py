@@ -59,18 +59,6 @@ class BigDyadic:
             return Fraction(self.mantissa << e, 1)
         return Fraction(self.mantissa, 1 << -e)
 
-    def ceil_log2(self) -> int:
-        """Smallest t with |self| <= 2**t.  Requires self != 0."""
-        if self.mantissa == 0:
-            raise ValueError("ceil_log2 of zero")
-        m = abs(self.mantissa)
-        # m has bit_length() b, so 2**(b-1) <= m <= 2**b - 1; m is a
-        # power of two exactly when m == 1 thanks to canonical form.
-        b = m.bit_length()
-        if m == 1:
-            return self.exponent
-        return self.exponent + b
-
     # -- arithmetic (exact) -----------------------------------------------
 
     def __neg__(self) -> "BigDyadic":
@@ -99,16 +87,6 @@ class BigDyadic:
             return NotImplemented
         return dyadic(self.mantissa * other.mantissa,
                       self.exponent + other.exponent)
-
-    def scale2(self, s: int) -> "BigDyadic":
-        """Exact multiplication by 2**s (s may be negative)."""
-        if self.mantissa == 0:
-            return self
-        return dyadic(self.mantissa, self.exponent + s)
-
-    def mul_int(self, n: int) -> "BigDyadic":
-        """Exact multiplication by an integer."""
-        return dyadic(self.mantissa * n, self.exponent)
 
     # -- comparisons (exact, total order) ---------------------------------
 
@@ -148,9 +126,6 @@ class BigDyadic:
         if e >= 0:
             return m << e
         return m >> -e
-
-    def ceil(self) -> int:
-        return -((-self).floor())
 
     # -- rendering --------------------------------------------------------
 
@@ -344,23 +319,8 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
 
-    def width(self) -> BigDyadic:
-        return self.hi - self.lo
-
-    def contains(self, v: BigDyadic) -> bool:
-        return self.lo <= v <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo.sign() > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi.sign() < 0
-
-    def contains_zero(self) -> bool:
-        return self.lo.sign() <= 0 <= self.hi.sign()
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -11,10 +11,10 @@ one pair from one reduction (or, for a literal, the two splits), then
 one quotient rounded to the raw grid, with the precision of the cosine
 certificate in its budget.  The reductions take and return scaled
 integers: a node hands them its argument's raw values as pairs,
-s -> (raw(s), s + 2), and gets back a pair (v, s) meaning v * 2**-s;
-the binary splitting returns a dyadic.  Either result becomes a raw
-value, an int at scale 2**-(j+2), by one rounding to the 2**-(j+1)
-grid (``_rounded``).
+s -> (raw(s), s + 2), and gets back a pair (v, s) meaning v * 2**-s,
+as it does from the binary splitting.  That pair becomes a raw value,
+an int at scale 2**-(j+2), by one rounding to the 2**-(j+1) grid
+(``_rounded``).
 Every rounding here goes through creal.grid_round, looked up at each
 call, and the last one puts the result within 2**-j of the true value.
 
@@ -29,7 +29,7 @@ from typing import Callable
 from . import creal as _cr
 from . import kernels
 from .creal import ApartnessCertificate, CReal, const, lim, series_sum
-from .dyadic import BigDyadic, div_nearest, dyadic
+from .dyadic import div_nearest
 from .errors import InvalidCertificate, ResourceExhausted
 from .kernels import budget
 
@@ -62,8 +62,8 @@ class _Exp(CReal):
         lit = _literal(self.x)
         if lit is not None and kernels.literal_split_pays(lit, j):
             # binary splitting within 2**-(j+2), the rounding 2**-(j+2)
-            v = kernels.exp_split(lit.numerator, lit.denominator, j + 2)
-            return _rounded(v.mantissa, -v.exponent, j)
+            return _rounded(*kernels.exp_split(lit.numerator,
+                                               lit.denominator, j + 2), j)
         # q0 = approx(x, 0) = h / 2: |x| <= |q0| + 1 and
         # x <= ceil(q0) + 1 = (h + 1) // 2 + 1
         h = self.x._grid(0)
@@ -85,9 +85,8 @@ class _SinCos(CReal):
         lit = _literal(self.x)
         if lit is not None and kernels.literal_split_pays(lit, j):
             # as for exp
-            v = kernels.sincos_split(lit.numerator, lit.denominator, j + 2,
-                                     self.want_sin)
-            return _rounded(v.mantissa, -v.exponent, j)
+            return _rounded(*kernels.sincos_split(
+                lit.numerator, lit.denominator, j + 2, self.want_sin), j)
         # |x| <= |approx(x, 0)| + 1 = (|h| + 2) / 2, at most the int
         # (|h| + 3) // 2
         bound = (abs(self.x._grid(0)) + 3) >> 1
@@ -129,7 +128,7 @@ class _Tan(CReal):
         if lit is not None and kernels.literal_split_pays(lit, t):
             # both at scale 2**-(t+1), the splits' grid
             p, q = lit.numerator, lit.denominator
-            s, c = (_cr._scaled(kernels.sincos_split(p, q, t, want), t)
+            s, c = (kernels.sincos_split(p, q, t, want)[0]
                     for want in (True, False))
         else:
             bound = (abs(self.x._grid(0)) + 3) >> 1
@@ -164,12 +163,14 @@ class _Ln(CReal):
             # rounding 2**-(j+2)
             e, p, q = kernels.ln_window(a.numerator, a.denominator)
             if kernels.split_pays(q, j):
-                v = kernels.atan_split(p, q, j + 3, hyperbolic=True)
-                v = v.scale2(1)
+                # twice atanh: the split's integer at scale 2**-(j+3)
+                v, s = kernels.atan_split(p, q, j + 3, hyperbolic=True)
+                s -= 1
                 if e != 0:
+                    # e ln 2 at scale 2**-(tl+2), finer than 2**-s
                     tl = budget(j + 2 + abs(e).bit_length())
-                    v = v + dyadic(e * _ln2()._raw(tl), -(tl + 2))
-                return _rounded(v.mantissa, -v.exponent, j)
+                    v, s = (v << (tl + 2 - s)) + e * _ln2()._raw(tl), tl + 2
+                return _rounded(v, s, j)
         raw, raw2 = self.x._raw, _ln2()._raw
         return _rounded(*kernels.ln_reduced(
             lambda s: (raw(s), s + 2), self.cert.witness_precision, j + 1,
@@ -183,15 +184,15 @@ _LADDER_MEMO = 256
 class _Ladder(CReal):
     """A constant read off a precision ladder (kernels.ladder_rung).
 
-    within(t) must return the constant within 2**-t.  The raw value at
-    j is rounded from the value at rung J = ladder_rung(j), computed
-    once per rung (kernels.rung_value); see "Constant ladder" in
-    kernels.py.
+    within(t) must return the constant within 2**-t, as a pair (v, s)
+    meaning v * 2**-s.  The raw value at j is rounded from the value at
+    rung J = ladder_rung(j), computed once per rung (kernels.rung_value);
+    see "Constant ladder" in kernels.py.
     """
 
     __slots__ = ("within",)
 
-    def __init__(self, within: Callable[[int], BigDyadic]):
+    def __init__(self, within: Callable[[int], tuple[int, int]]):
         super().__init__()
         self.within = within
 
@@ -205,8 +206,7 @@ class _Ladder(CReal):
         return super()._raw(j)
 
     def _compute(self, j: int) -> int:
-        v = kernels.rung_value(self.within, j)
-        return _rounded(v.mantissa, -v.exponent, j)
+        return _rounded(*kernels.rung_value(self.within, j), j)
 
 
 # Process-wide constant nodes, so their memos are shared by every
@@ -242,8 +242,7 @@ class _AtanRat(CReal):
         self.p, self.q = p, q
 
     def _compute(self, j: int) -> int:
-        v = kernels.atan_split(self.p, self.q, j + 2)
-        return _rounded(v.mantissa, -v.exponent, j)
+        return _rounded(*kernels.atan_split(self.p, self.q, j + 2), j)
 
 
 class _PiLeibniz(CReal):

@@ -15,7 +15,8 @@ Sums, differences and negation are exact.  A product takes the hull
 of the four endpoint products, at scale 2w, floored and ceiled to w.
 A quotient multiplies by the reciprocal on the 2**-(w+2) grid.  exp,
 ln and pi widen a point value within 2**-(w+2) by that much and round
-outward (pi, and ln 2 inside ln, are read off the constant ladder's
+outward (exp and ln at both ends of the argument's enclosure, or once
+at a point; pi, and ln 2 inside ln, are read off the constant ladder's
 rungs, kernels.rung_value); sin and cos, which are 1-Lipschitz,
 evaluate at the exact midpoint, lo + hi at scale w + 1, and widen by
 the radius, hi - lo at that scale, too.  tan takes its sine and cosine
@@ -117,24 +118,29 @@ def _sincos_point(x: tuple[int, int], t: int, want_sin: bool | None):
                                   t, want_sin, round_scaled)
 
 
-def _ln2(s: int) -> tuple[int, int]:
-    """ln 2 within 2**-s, as a pair: ln_reduced's ln2(s), off the
-    ladder's rungs."""
-    d = kernels.rung_value(kernels.ln2_within, s)
-    return d.mantissa, -d.exponent
-
-
 def _ln_point(x: tuple[int, int], t: int) -> tuple[int, int]:
     """ln(x) within 2**-t, for an exact x > 0."""
     n, a = x
     if n <= 0:
         raise ValueError("ln point evaluation needs a positive argument")
-    # x > 2**(L-1) for L as in _exp_point, so ln_reduced's c is 1 - L
-    return kernels.ln_reduced(lambda s: x, 1 + a - (n - 1).bit_length(), t,
-                              _ln2)
+    # x > 2**(L-1) for L as in _exp_point, so ln_reduced's c is 1 - L;
+    # ln 2 within 2**-s off the ladder's rungs
+    return kernels.ln_reduced(
+        lambda s: x, 1 + a - (n - 1).bit_length(), t,
+        lambda s: kernels.rung_value(kernels.ln2_within, s))
 
 
 # -- expression evaluation ------------------------------------------------
+
+def _increasing(point, lo: int, hi: int, w: int) -> tuple[int, int]:
+    """The enclosure at scale w of an increasing function's image of
+    [lo, hi] at scale w, from its point evaluations at the two ends:
+    one evaluation when they are equal."""
+    ends = _widened(*point((lo, w), w + 2), w)
+    if hi != lo:
+        ends = ends[0], _widened(*point((hi, w), w + 2), w)[1]
+    return ends
+
 
 def _sincos_enclosure(lo: int, hi: int, want_sin: bool | None, w: int):
     # sin and cos are 1-Lipschitz: the value at the midpoint, widened by
@@ -189,8 +195,7 @@ def _eval(e, w: int, sh) -> tuple[int, int]:
         if isinstance(e, lang.Call):
             iv = _call(e, w, sh)
         else:
-            p = kernels.rung_value(kernels.pi_within, w + 2)
-            iv = _widened(p.mantissa, -p.exponent, w)
+            iv = _widened(*kernels.rung_value(kernels.pi_within, w + 2), w)
         if memo is not None:
             memo[key] = iv
         return iv
@@ -222,8 +227,7 @@ def _call(e, w: int, sh) -> tuple[int, int]:
         return pair[e.fn == "cos"]
     lo, hi = _eval(e.arg, w, sh)
     if e.fn == "exp":
-        return (_widened(*_exp_point((lo, w), w + 2), w)[0],
-                _widened(*_exp_point((hi, w), w + 2), w)[1])
+        return _increasing(_exp_point, lo, hi, w)
     if e.fn == "ln":
         if hi < 0:
             a = _interval(lo, hi, w)
@@ -233,8 +237,7 @@ def _call(e, w: int, sh) -> tuple[int, int]:
         if lo <= 0:
             raise DomainUndetermined(
                 w, "ln argument interval does not exclude 0")
-        return (_widened(*_ln_point((lo, w), w + 2), w)[0],
-                _widened(*_ln_point((hi, w), w + 2), w)[1])
+        return _increasing(_ln_point, lo, hi, w)
     if e.fn in ("sin", "cos"):
         return _sincos_enclosure(lo, hi, e.fn == "sin", w)
     raise AssertionError(f"unknown function {e.fn!r}")

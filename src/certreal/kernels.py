@@ -36,15 +36,11 @@ cos series at x = 9/8, so one written bound serves both kernel
 families.  ``_cap_ln1p(t)``, for a series with no splitting instance,
 is the least n >= 1 with (5/8)**n (8/3) / n <= 2**-(t+1).
 
-Wrappers
---------
-``exp_within``, ``sin_within``, ``cos_within`` and ``ln1p_within``
-take a dyadic argument in the kernel's range and a target t, and
-return a dyadic within 2**-t of the function value.  The cap at t
-(``_cap_exp``, ``_cap_sin``, ``_cap_cos`` or ``_cap_ln1p``, from the
-bounds named under "Kernels") makes the analytic tail at most
-2**-(t+1); the width w = t + 2 + bitlen(8*cap + 16) puts the blanket
-and the half-ulp rounding of the argument below 2**-(t+1) as well.
+``_fixed`` runs a kernel to a target t: the cap at t makes the
+analytic tail at most 2**-(t+1), and the width
+w = t + 2 + bitlen(8*cap + 16) puts the blanket and the half-ulp
+rounding of the argument below 2**-(t+1) as well, so the result is
+within 2**-t.
 
 Reductions
 ----------
@@ -162,7 +158,9 @@ Computer Arithmetic* §4.9).  Each instance is a ``_Series``,
 and ``_split`` writes its first n terms as one fraction T / (B Q) of
 exact integers, built by halving the index range and combining the
 halves' products, so the large products are few and of balanced size.
-Nothing is rounded before the end.  With u = p/q (atan, artanh) or
+Nothing is rounded before the end.  Every routine here returns its
+value as the reductions do, a pair (v, s) of integers meaning
+v * 2**-s; a split's s is t + 1.  With u = p/q (atan, artanh) or
 x = p/q (exp, sin, cos), q > 0:
 
     instance  y      qn(n)             b(n)  u/v  tail after n terms
@@ -204,10 +202,12 @@ tail is at most twice its first term from there on.
 - Error total: 2**-(t+1) + 2**-(t+2) < 2**-t.
 
 ``pi_within(t)`` is 16 atan(1/5) - 4 atan(1/239) with the two terms at
-t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t; scaling and
-subtracting dyadics is exact), and ``ln2_within(t)`` is 2 atanh(1/3)
-with the term at t+1.  ``ln_window(a, b)`` writes a rational a/b > 0
-as 2**e (q+p)/(q-p) with p/q in (-1/5, 1/7], so that
+t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t); they come at
+scales 2**-(t+6) and 2**-(t+4), so 16 and 4 times them share the scale
+2**-(t+2), and subtracting the integers is exact.  ``ln2_within(t)``
+is 2 atanh(1/3) with the term at t+1, the same integer at scale
+2**-(t+1).  ``ln_window(a, b)`` writes a rational a/b > 0 as
+2**e (q+p)/(q-p) with p/q in (-1/5, 1/7], so that
 ln(a/b) = e ln 2 + 2 atanh(p/q).
 
 Routes.  The approximation backend sums exp, sin and cos of a literal
@@ -299,8 +299,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 from math import factorial, gcd, isqrt
 
-from .dyadic import (BigDyadic, div_nearest, div_nearest_lead, dyadic,
-                     round_scaled)
+from .dyadic import div_nearest, div_nearest_lead, round_scaled
 from .errors import ResourceExhausted
 
 # Hard ceiling on any precision request or working width, in bits.
@@ -459,40 +458,14 @@ def _cap_ln1p(t: int) -> int:
                       <= 3 * (n + 1) << 3 * (n + 1))
 
 
-# -- wrappers: dyadic in, dyadic within 2**-t out -------------------------
-
 def _fixed(series, cap_of, x: int, a: int, t: int) -> tuple[int, int]:
     """(S, w): S * 2**-w is the series' function at x * 2**-a within
-    2**-t, with the cap and width of "Wrappers" above; the argument is
+    2**-t.  The cap is cap_of(t) and the width
+    w = t + 2 + bitlen(8*cap + 16) ("Kernels" above); the argument is
     rounded to the nearest ulp."""
     cap = cap_of(t)
     w = budget(t + 2 + (8 * cap + 16).bit_length())
     return series(round_scaled(x, a, w), w, cap), w
-
-
-def _within(series, cap_of, r: BigDyadic, t: int) -> BigDyadic:
-    n, w = _fixed(series, cap_of, r.mantissa, -r.exponent, t)
-    return dyadic(n, -w)
-
-
-def exp_within(r: BigDyadic, t: int) -> BigDyadic:
-    """exp(r) within 2**-t, for |r| <= 5/8."""
-    return _within(exp_series, _cap_exp, r, t)
-
-
-def sin_within(r: BigDyadic, t: int) -> BigDyadic:
-    """sin(r) within 2**-t, for |r| <= 9/8."""
-    return _within(sin_series, _cap_sin, r, t)
-
-
-def cos_within(r: BigDyadic, t: int) -> BigDyadic:
-    """cos(r) within 2**-t, for |r| <= 9/8."""
-    return _within(cos_series, _cap_cos, r, t)
-
-
-def ln1p_within(v: BigDyadic, t: int) -> BigDyadic:
-    """ln(1 + v) within 2**-t, for |v| <= 5/8."""
-    return _within(ln1p_series, _cap_ln1p, v, t)
 
 
 # -- reductions: any argument in, value within 2**-t out ------------------
@@ -683,9 +656,9 @@ def _count(s: _Series) -> int:
     return _least(lambda n: s.tail(n, s.y ** n, s.qprod(n)), s.guess)
 
 
-def _split_within(s: _Series, t: int) -> BigDyadic:
+def _split_within(s: _Series, t: int) -> tuple[int, int]:
     """The series s, summed over its least count of terms and rounded
-    once to the 2**-(t+1) grid."""
+    once to the 2**-(t+1) grid, as (v, t + 1)."""
     # one below the guess: adding a term costs a few products of one
     # big factor and a small one, starting over costs the whole sum
     n = max(1, s.guess - 1)
@@ -700,7 +673,7 @@ def _split_within(s: _Series, t: int) -> BigDyadic:
             pp, qq, bb, tt = _join((pp, qq, bb, tt), _split(n, n + 1, s))
             n += 1
     w = budget(t + 1)
-    return dyadic(div_nearest_lead(s.u * tt << w, s.v * bb * qq), -w)
+    return div_nearest_lead(s.u * tt << w, s.v * bb * qq), w
 
 
 # Fixed-point logarithms for the guesses: _lg(x) is about 2**_LG log2 x,
@@ -807,32 +780,34 @@ def _cos(t: int, p: int, q: int) -> _Series:
         (_fact_guess(t + 1, p, q) + 1) // 2)
 
 
-def atan_split(p: int, q: int, t: int, hyperbolic: bool = False) -> BigDyadic:
+def atan_split(p: int, q: int, t: int,
+               hyperbolic: bool = False) -> tuple[int, int]:
     """arctan(p/q), or artanh(p/q) if hyperbolic, within 2**-t, for q > 0
     and |p/q| <= 1/2, by binary splitting."""
     return _split_within(_atan(t, p, q, hyperbolic), t)
 
 
-def exp_split(p: int, q: int, t: int) -> BigDyadic:
+def exp_split(p: int, q: int, t: int) -> tuple[int, int]:
     """exp(p/q) within 2**-t, for q > 0, by binary splitting."""
     return _split_within(_exp(t, p, q), t)
 
 
-def sincos_split(p: int, q: int, t: int, want_sin: bool) -> BigDyadic:
+def sincos_split(p: int, q: int, t: int,
+                 want_sin: bool) -> tuple[int, int]:
     """sin(p/q), or cos(p/q), within 2**-t, for q > 0, by binary
     splitting."""
     return _split_within((_sin if want_sin else _cos)(t, p, q), t)
 
 
-def pi_within(t: int) -> BigDyadic:
+def pi_within(t: int) -> tuple[int, int]:
     """pi = 16 atan(1/5) - 4 atan(1/239) within 2**-t."""
-    return (atan_split(1, 5, t + 5).scale2(4)
-            - atan_split(1, 239, t + 3).scale2(2))
+    return (atan_split(1, 5, t + 5)[0] - atan_split(1, 239, t + 3)[0],
+            t + 2)
 
 
-def ln2_within(t: int) -> BigDyadic:
+def ln2_within(t: int) -> tuple[int, int]:
     """ln 2 = 2 atanh(1/3) within 2**-t."""
-    return atan_split(1, 3, t + 1, hyperbolic=True).scale2(1)
+    return atan_split(1, 3, t + 1, hyperbolic=True)[0], t + 1
 
 
 def ln_window(a: int, b: int):
@@ -879,7 +854,8 @@ def ladder_rung(j: int) -> int:
 _RUNGS: dict = {}
 
 
-def rung_value(within: Callable[[int], BigDyadic], j: int) -> BigDyadic:
+def rung_value(within: Callable[[int], tuple[int, int]],
+               j: int) -> tuple[int, int]:
     """within(J + 1) for J = ladder_rung(j), computed once per rung: the
     constant within 2**-(J+1) <= 2**-(j+1)."""
     key = (within, ladder_rung(j))

@@ -384,13 +384,13 @@ def test_cmp_semidecide_greater_than():
     out = cmp_semidecide(const(2), const(1), relation=">")
     assert isinstance(out, Proved) and out.relation == ">"
     assert out.lhs_enclosure.lo > out.rhs_enclosure.hi
-    assert out.lhs_enclosure.contains(dyadic(2))
-    assert out.rhs_enclosure.contains(dyadic(1))
+    assert out.lhs_enclosure.lo <= dyadic(2) <= out.lhs_enclosure.hi
+    assert out.rhs_enclosure.lo <= dyadic(1) <= out.rhs_enclosure.hi
 
     out2 = cmp_semidecide(const(1), const(2), relation=">")
     assert isinstance(out2, Refuted) and out2.relation == ">"
     assert out2.lhs_enclosure.hi < out2.rhs_enclosure.lo
-    assert out2.lhs_enclosure.contains(dyadic(1))
+    assert out2.lhs_enclosure.lo <= dyadic(1) <= out2.lhs_enclosure.hi
 
 
 def test_cmp_semidecide_exhausts_on_equality():
@@ -627,15 +627,11 @@ def test_tan_budget_under_worst_leaves():
     assert covered == {2, 3, 4}
 
 
-def test_ring_walk_builds_no_dyadic(monkeypatch):
-    # a fresh dag of constants, ring operations and a reciprocal walks
-    # on ints alone: no BigDyadic is built below approx
+def _counting_dyadics(monkeypatch):
+    """A list that gets one entry per BigDyadic built from now on."""
     import importlib
 
     dy = importlib.import_module("certreal.dyadic")
-    a, b = const(22, 7), const(-5, 3)
-    d = a * b - a
-    x = (d * d + recip(d, find_apart(d))) * -(a + b)
     built = []
     real = dy._new
 
@@ -644,8 +640,40 @@ def test_ring_walk_builds_no_dyadic(monkeypatch):
         return real(cls)
 
     monkeypatch.setattr(dy, "_new", counting)
+    return built
+
+
+def test_ring_walk_builds_no_dyadic(monkeypatch):
+    # a fresh dag of constants, ring operations and a reciprocal walks
+    # on ints alone: no BigDyadic is built below approx
+    a, b = const(22, 7), const(-5, 3)
+    d = a * b - a
+    x = (d * d + recip(d, find_apart(d))) * -(a + b)
+    built = _counting_dyadics(monkeypatch)
     x._raw(200)
     assert built == []
+
+
+def test_apartness_search_builds_no_dyadic(monkeypatch):
+    # find_apart and a certificate's recheck read approx(k) as its
+    # integer; 22/7 - 3 = 1/7 takes a few probes
+    a = const(22, 7)
+    nodes = (a * const(-5, 3) - a, a - 3, 3 - a)
+    built = _counting_dyadics(monkeypatch)
+    for x in nodes:
+        assert find_apart(x).revalidate(x)
+    assert built == []
+
+
+def test_comparison_builds_only_its_trace_endpoints(monkeypatch):
+    # each step keeps two enclosures of two endpoints each and builds no
+    # other dyadic; no endpoint here is 0, which would be the shared ZERO
+    x = const(22, 7) * const(7, 22)
+    y = 1 + const(1, 1 << 20)
+    built = _counting_dyadics(monkeypatch)
+    out = cmp_semidecide(x, y)
+    assert isinstance(out, Proved) and len(out.trace) > 4
+    assert len(built) == 4 * len(out.trace)
 
 
 def test_series_budget_under_worst_terms():
@@ -665,9 +693,10 @@ def test_ladder_error_total_under_a_worst_source():
     # 2**-(J+1) + 2**-(j+2) of the constant, J = ladder_rung(j); the
     # source within(t) is off by exactly 2**-t
     for exact, sign in _worst_leaves():
-        # exact is a dyadic rational: its denominator a power of two
-        v = dyadic(exact.numerator, 1 - exact.denominator.bit_length())
-        node = functions._Ladder(lambda t: v + dyadic(sign, -t))
+        # exact is a dyadic rational, num * 2**-d; the source returns a
+        # pair (n, a), meaning n * 2**-a, here at a = t + d
+        num, d = exact.numerator, exact.denominator.bit_length() - 1
+        node = functions._Ladder(lambda t: ((num << t) + (sign << d), t + d))
         for j in range(300):
             rung = kernels.ladder_rung(j)
             err = abs(_raw_value(node, j) - exact)

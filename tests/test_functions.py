@@ -549,14 +549,24 @@ def test_ladder_bits_identical_under_threads():
 
 def test_reductions_build_no_dyadic(monkeypatch):
     # exp and sin of a product of sums read their argument and return
-    # through int pairs: no BigDyadic is built below approx, as for the
+    # through int pairs, and so do the binary-splitting routes: exp,
+    # sin, cos and tan of a literal, ln of a literal whose window has
+    # e = 4, atan_rat, and the pi and ln 2 ladders with their rungs
+    # computed afresh.  No BigDyadic is built below approx, as for the
     # ring walk (test_creal.test_ring_walk_builds_no_dyadic)
     import importlib
+
+    from certreal import kernels
 
     dy = importlib.import_module("certreal.dyadic")
     x = const(22, 7) + const(1, 3)
     y = const(-5, 3) - const(1, 5)
-    nodes = (exp(x * y), sin(x * y), cos(x * y + 1))
+    half, lit = const(1, 2), const(1166, 100)
+    nodes = (exp(x * y), sin(x * y), cos(x * y + 1), exp(const(137, 100)),
+             sin(half), cos(-half), tan(half, find_apart(cos(half))),
+             ln(lit, find_apart(lit)), atan_rat(1, 3),
+             functions._Ladder(kernels.pi_within),
+             functions._Ladder(kernels.ln2_within))
     built = []
     real = dy._new
 
@@ -564,7 +574,8 @@ def test_reductions_build_no_dyadic(monkeypatch):
         built.append(cls)
         return real(cls)
 
+    monkeypatch.setattr(kernels, "_RUNGS", {})
     monkeypatch.setattr(dy, "_new", counting)
     for node in nodes:
-        node._raw(200)
+        node._raw(2000)
     assert built == []

@@ -63,11 +63,12 @@ def test_interval_invariants():
     with pytest.raises(ValueError):
         Interval(ONE, ZERO)
     iv = Interval(ZERO, ONE)
-    assert iv.width() == ONE
-    assert iv.contains(dyadic(1, -3))
-    assert not iv.contains(dyadic(-1))
-    assert iv.contains_zero() and not iv.strictly_positive()
-    assert Interval(ONE, ONE).width().is_zero()
+    assert iv.hi - iv.lo == ONE
+    assert iv.lo <= dyadic(1, -3) <= iv.hi
+    assert not iv.lo <= dyadic(-1) <= iv.hi
+    assert iv.lo <= ZERO <= iv.hi and not ZERO < iv.lo
+    pt = Interval(ONE, ONE)
+    assert (pt.hi - pt.lo).is_zero()
 
 
 def test_one_interval_class_and_no_import_per_call():
@@ -227,7 +228,7 @@ def test_eval_interval_encloses_oracle(text, k):
     assert res.interval.lo.as_fraction() <= hi
     assert lo <= res.interval.hi.as_fraction()
     if res.converged:
-        assert res.interval.width() <= dyadic(1, 1 - k)
+        assert res.interval.hi - res.interval.lo <= dyadic(1, 1 - k)
 
 
 def test_eval_interval_converges_on_clean_corpus():
@@ -596,3 +597,23 @@ def test_query_memo_moves_no_outcome(text, monkeypatch):
         prover.prove(q, backend="both", max_precision=200), True)
         for q in queries]
     assert on == off
+
+
+def test_point_intervals_pay_one_reduction(monkeypatch):
+    # exp and ln of an integer see the point interval [n, n]: one
+    # reduction per pass, widened once, not one per endpoint
+    from certreal import kernels
+
+    calls = []
+    for name in ("exp_reduced", "ln_reduced"):
+        def spy(*args, real=getattr(kernels, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    for text, name in (("exp(1)", "exp_reduced"), ("ln(3)", "ln_reduced")):
+        calls.clear()
+        res = eval_interval(lang.parse_expression(text), 40)
+        # converged in its first pass
+        assert res.converged
+        assert calls == [name], text

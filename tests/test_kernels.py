@@ -1,17 +1,19 @@
 """The series layer: kernel ulp-level honesty against the rational
-oracles, and the wrappers' "within 2**-t" contract over each kernel's
-whole argument range."""
+oracles, and the "within 2**-t" contract of a kernel run to a target
+(kernels._fixed) over each kernel's whole argument range."""
 
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from certreal import kernels
-from certreal.dyadic import div_nearest, dyadic, round_scaled
+from certreal.dyadic import div_nearest, round_scaled
 
 widths = st.integers(20, 400)
 caps = st.integers(1, 80)
@@ -82,17 +84,21 @@ def test_kernels_deterministic():
     assert a == b
 
 
-# -- wrapper contract: dyadic in, dyadic within 2**-t out ------------------
+# -- a kernel run to a target: pair in, pair within 2**-t out -------------
 #
 # The kernel tests above pass their own cap; these check the caps and
-# working widths the wrappers choose.  Arguments run up to the ends of
+# working widths kernels._fixed chooses.  Arguments run up to the ends of
 # each kernel's range, where the caps are tightest.
 
-_WRAPPERS = {
-    "exp": (kernels.exp_within, Fraction(5, 8), oracles.exp_bounds),
-    "sin": (kernels.sin_within, Fraction(9, 8), oracles.sin_bounds),
-    "cos": (kernels.cos_within, Fraction(9, 8), oracles.cos_bounds),
-    "ln1p": (kernels.ln1p_within, Fraction(5, 8), oracles._ln_series),
+_KERNELS = {
+    "exp": (kernels.exp_series, kernels._cap_exp, Fraction(5, 8),
+            oracles.exp_bounds),
+    "sin": (kernels.sin_series, kernels._cap_sin, Fraction(9, 8),
+            oracles.sin_bounds),
+    "cos": (kernels.cos_series, kernels._cap_cos, Fraction(9, 8),
+            oracles.cos_bounds),
+    "ln1p": (kernels.ln1p_series, kernels._cap_ln1p, Fraction(5, 8),
+             oracles._ln_series),
 }
 
 
@@ -100,23 +106,29 @@ def _targets(rng):
     return [8, 600] + [rng.randint(8, 600) for _ in range(6)]
 
 
+def _value(pair):
+    """The value of a pair (n, a), meaning n * 2**-a."""
+    n, a = pair
+    return Fraction(n, 1 << a)
+
+
 def _assert_within(got, lo, hi, t):
     tol = Fraction(1, 1 << t)
-    assert lo - tol <= got.as_fraction() <= hi + tol
+    assert lo - tol <= _value(got) <= hi + tol
 
 
-@pytest.mark.parametrize("name", sorted(_WRAPPERS))
+@pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_wrapper_within_target(name):
-    within, bound, enclosure = _WRAPPERS[name]
+    series, cap_of, bound, enclosure = _KERNELS[name]
     rng = random.Random(name)
     for t in _targets(rng):
         # exponents past the working width exercise the argument rounding
         e = rng.randint(3, 48)
         end = int(bound * (1 << e))
         for m in (end, -end, rng.randint(-end, end)):
-            r = dyadic(m, -e)
-            lo, hi = enclosure(r.as_fraction(), t + 20)
-            _assert_within(within(r, t), lo, hi, t)
+            lo, hi = enclosure(Fraction(m, 1 << e), t + 20)
+            _assert_within(kernels._fixed(series, cap_of, m, e, t), lo, hi,
+                           t)
 
 
 # -- term caps: the same integers as the linear scans ----------------------
@@ -270,7 +282,7 @@ def test_literal_split_sums_the_least_count(monkeypatch, name, shift):
             scaled = exact * (1 << (t + 1))
             want = div_nearest(scaled.numerator, scaled.denominator)
             got = split(p, q, t)
-            assert got == dyadic(want, -(t + 1)), (p, q, t)
+            assert got == (want, t + 1), (p, q, t)
 
 
 @pytest.mark.parametrize("name", sorted(_LITERAL_SERIES))
@@ -299,13 +311,14 @@ def test_constants_against_independent_routes_at_20000_bits():
     # |sin p| = |sin d| >= |d| (1 - d**2/6) > 0.99 |d|; sin p within
     # 2**-(t+2) and at most 2**-(t+1) in size then gives |d| < 2**-t
     p = kernels.pi_within(t)
-    assert 3 < p.as_fraction() < Fraction(16, 5)
-    s, a = kernels.sincos_reduced(lambda _: (p.mantissa, -p.exponent), 4,
-                                  t + 2, True, round_scaled)
-    assert abs(Fraction(s, 1 << a)) <= Fraction(1, 1 << (t + 1))
+    assert 3 < _value(p) < Fraction(16, 5)
+    s = kernels.sincos_reduced(lambda _: p, 4, t + 2, True, round_scaled)
+    assert abs(_value(s)) <= Fraction(1, 1 << (t + 1))
     tol = Fraction(2, 1 << t)
-    ln2 = -kernels.ln1p_within(dyadic(-1, -1), t)
-    assert abs((kernels.ln2_within(t) - ln2).as_fraction()) <= tol
+    # ln 2 = -ln(1 - 1/2)
+    ln2 = -_value(kernels._fixed(kernels.ln1p_series, kernels._cap_ln1p,
+                                 -1, 1, t))
+    assert abs(_value(kernels.ln2_within(t)) - ln2) <= tol
 
 
 # -- sin and cos as one pair ------------------------------------------------
@@ -402,3 +415,23 @@ def test_ladder_rung():
     for j in (rng.randint(2049, 1 << 22) for _ in range(200)):
         r = kernels.ladder_rung(j)
         assert _three_bits(r) and j <= r < 1.25 * j, j
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def test_kernels_boundary_carries_integer_pairs():
+    # the kernels take and return pairs (n, a), meaning n * 2**-a, so
+    # kernels.py imports no dyadic type, and neither backend takes a
+    # dyadic apart to read a kernel's result
+    from certreal import functions, intervals
+
+    imported = {a.name for node in ast.walk(_tree(kernels))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    assert not imported & {"BigDyadic", "dyadic"}, imported
+    for module in (functions, intervals):
+        read = {node.attr for node in ast.walk(_tree(module))
+                if isinstance(node, ast.Attribute)}
+        assert not read & {"mantissa", "exponent"}, module.__name__
