@@ -36,13 +36,14 @@ grid rounding,
 
     approx(x, k) = dyadic(grid_round(raw(k+2), k+4, k+1), -(k+1)),
 
-and is not memoized itself.  A BigDyadic appears only there and in the
+and is not memoized itself.  A BigDyadic is built only there and in the
 enclosures a comparison's outcome and trace keep: the kernels take and
-return integer pairs too (kernels.py), and find_apart and certificate
-checks read approx(k) as its integer, _grid(k).  Because _compute is
-deterministic, two threads that race on a miss store the identical
-value, and no cache can make approx(x, k) depend on what was computed
-before.
+return integer pairs too (kernels.py).  find_apart, certificate checks
+and comparisons read x through approx, the entry point perfbench's
+traced pass times as the DAG walk, and take its integer back out
+(_scaled).  Because _compute is deterministic, two threads that race
+on a miss store the identical value, and no cache can make approx(x, k)
+depend on what was computed before.
 
 Strict comparisons are only semi-decidable: cmp_semidecide deepens
 precision along an exponential schedule and reports Proved or Refuted
@@ -86,6 +87,11 @@ def _log2_bound(h: int) -> int:
     # approx(x, 0) = h / 2, and ceil(log2((|h| + 2) / 2)) for an int
     # |h| + 2 >= 2 is the bit length of |h| + 1, less one
     return (abs(h) + 1).bit_length() - 1
+
+
+def _scaled(q: BigDyadic, k: int) -> int:
+    """approx(k) = q as the int n with q = n * 2**-(k+1)."""
+    return q.mantissa << (q.exponent + k + 1)
 
 
 def _checked_precision(j: int) -> int:
@@ -303,7 +309,7 @@ class ApartnessCertificate:
         """Recheck the witness against x by one approximation call."""
         k = self.witness_precision
         # |approx(k)| > 2 * 2**-k is |n| > 4 for approx(k) = n 2**-(k+1)
-        n = x._grid(_checked_precision(k))
+        n = _scaled(x.approx(k), k)
         return (n > 4 and self.sign > 0) or (n < -4 and self.sign < 0)
 
     def lower_bound(self) -> BigDyadic:
@@ -477,7 +483,7 @@ def find_apart(x: CReal, start_k: int = 1, max_k: int = 60):
     """
     for k in deepening_schedule(start_k, max_k):
         # |approx(k)| > 2 * 2**-k is |n| > 4 for approx(k) = n 2**-(k+1)
-        n = x._grid(_checked_precision(k))
+        n = _scaled(x.approx(k), k)
         if n > 4:
             return ApartnessCertificate(k, 1)
         if n < -4:
@@ -549,7 +555,7 @@ ProofOutcome = Proved | Refuted | Exhausted
 
 def _enclosure(x: CReal, k: int) -> Interval:
     """[approx(x, k) - 2**-k, approx(x, k) + 2**-k]."""
-    n = x._grid(_checked_precision(k))
+    n = _scaled(x.approx(k), k)
     return Interval(dyadic(n - 2, -(k + 1)), dyadic(n + 2, -(k + 1)))
 
 
@@ -598,5 +604,4 @@ def archimedean_bound(x: CReal) -> int:
     1/4 this gives x <= q + 1/4 < floor(q) + 2 = n and
     n <= q + 2 <= x + 9/4.
     """
-    # approx(x, 2) is _grid(2) 2**-3, whose floor is _grid(2) >> 3
-    return (x._grid(2) >> 3) + 2
+    return x.approx(2).floor() + 2

@@ -46,13 +46,6 @@ class BigDyadic:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    def sign(self) -> int:
-        m = self.mantissa
-        return (m > 0) - (m < 0)
-
     def as_fraction(self) -> Fraction:
         e = self.exponent
         if e >= 0:

@@ -126,7 +126,8 @@ class _Tan(CReal):
         t = budget(j + 2 * self.cert.witness_precision + 4)
         lit = _literal(self.x)
         if lit is not None and kernels.literal_split_pays(lit, t):
-            # both at scale 2**-(t+1), the splits' grid
+            # the quotient reads no scale: s and c only have to share
+            # one, as two splits at one t do
             p, q = lit.numerator, lit.denominator
             s, c = (kernels.sincos_split(p, q, t, want)[0]
                     for want in (True, False))

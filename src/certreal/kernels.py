@@ -202,11 +202,11 @@ tail is at most twice its first term from there on.
 - Error total: 2**-(t+1) + 2**-(t+2) < 2**-t.
 
 ``pi_within(t)`` is 16 atan(1/5) - 4 atan(1/239) with the two terms at
-t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t); they come at
-scales 2**-(t+6) and 2**-(t+4), so 16 and 4 times them share the scale
-2**-(t+2), and subtracting the integers is exact.  ``ln2_within(t)``
-is 2 atanh(1/3) with the term at t+1, the same integer at scale
-2**-(t+1).  ``ln_window(a, b)`` writes a rational a/b > 0 as
+t+5 and t+3 (16 * 2**-(t+5) + 4 * 2**-(t+3) = 2**-t); 16 and 4 times
+a pair take 4 and 2 off its scale, and subtracting the integers on the
+finer of the two scales is exact (both are 2**-(t+2) today).
+``ln2_within(t)`` is 2 atanh(1/3) with the term at t+1, the same
+integer at one bit less of scale.  ``ln_window(a, b)`` writes a rational a/b > 0 as
 2**e (q+p)/(q-p) with p/q in (-1/5, 1/7], so that
 ln(a/b) = e ln 2 + 2 atanh(p/q).
 
@@ -801,13 +801,18 @@ def sincos_split(p: int, q: int, t: int,
 
 def pi_within(t: int) -> tuple[int, int]:
     """pi = 16 atan(1/5) - 4 atan(1/239) within 2**-t."""
-    return (atan_split(1, 5, t + 5)[0] - atan_split(1, 239, t + 3)[0],
-            t + 2)
+    v, s = atan_split(1, 5, t + 5)
+    u, r = atan_split(1, 239, t + 3)
+    # 16 v 2**-s - 4 u 2**-r, on the finer of the two grids
+    s, r = s - 4, r - 2
+    a = max(s, r)
+    return (v << a - s) - (u << a - r), a
 
 
 def ln2_within(t: int) -> tuple[int, int]:
     """ln 2 = 2 atanh(1/3) within 2**-t."""
-    return atan_split(1, 3, t + 1, hyperbolic=True)[0], t + 1
+    v, s = atan_split(1, 3, t + 1, hyperbolic=True)
+    return v, s - 1
 
 
 def ln_window(a: int, b: int):

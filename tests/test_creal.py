@@ -34,7 +34,7 @@ def _tol(k):
 def test_const_honest(v, k):
     q = const(v).approx(k)
     assert abs(q.as_fraction() - v) <= _tol(k)
-    assert q.is_zero() or q.exponent >= -(k + 1)
+    assert q == ZERO or q.exponent >= -(k + 1)
 
 
 # small random arithmetic dags with their exact rational value alongside
@@ -204,7 +204,7 @@ def test_series_sum_geometric():
 
 def test_series_sum_empty_and_bad():
     z = series_sum(lambda n: const(1), lambda k: 0)
-    assert z.approx(10).is_zero()
+    assert z.approx(10) == ZERO
     bad = series_sum(lambda n: const(1), lambda k: "many")
     with pytest.raises(ValueError):
         bad.approx(3)
@@ -654,26 +654,46 @@ def test_ring_walk_builds_no_dyadic(monkeypatch):
     assert built == []
 
 
-def test_apartness_search_builds_no_dyadic(monkeypatch):
-    # find_apart and a certificate's recheck read approx(k) as its
-    # integer; 22/7 - 3 = 1/7 takes a few probes
+def _counting_approx(monkeypatch):
+    """A list that gets the result of each CReal.approx call from now on."""
+    calls = []
+    real = creal.CReal.approx
+
+    def counting(self, k):
+        calls.append(real(self, k))
+        return calls[-1]
+
+    monkeypatch.setattr(creal.CReal, "approx", counting)
+    return calls
+
+
+def test_apartness_search_reads_through_approx(monkeypatch):
+    # find_apart and a certificate's recheck read x only through approx,
+    # the entry point perfbench's traced pass times as the DAG walk, and
+    # build no dyadic besides approx's own, of which a 0 is the shared
+    # ZERO; 22/7 - 3 = 1/7 takes a few probes
     a = const(22, 7)
     nodes = (a * const(-5, 3) - a, a - 3, 3 - a)
     built = _counting_dyadics(monkeypatch)
+    calls = _counting_approx(monkeypatch)
     for x in nodes:
         assert find_apart(x).revalidate(x)
-    assert built == []
+    assert len(calls) > 2 * len(nodes)
+    assert len(built) == sum(q != ZERO for q in calls)
 
 
-def test_comparison_builds_only_its_trace_endpoints(monkeypatch):
-    # each step keeps two enclosures of two endpoints each and builds no
-    # other dyadic; no endpoint here is 0, which would be the shared ZERO
+def test_comparison_builds_only_its_reads_and_trace_endpoints(monkeypatch):
+    # each step reads both sides through approx and keeps two enclosures
+    # of two endpoints each, and builds no other dyadic; no value here is
+    # 0, which would be the shared ZERO
     x = const(22, 7) * const(7, 22)
     y = 1 + const(1, 1 << 20)
     built = _counting_dyadics(monkeypatch)
+    calls = _counting_approx(monkeypatch)
     out = cmp_semidecide(x, y)
     assert isinstance(out, Proved) and len(out.trace) > 4
-    assert len(built) == 4 * len(out.trace)
+    assert len(calls) == 2 * len(out.trace)
+    assert len(built) == 6 * len(out.trace)
 
 
 def test_series_budget_under_worst_terms():

@@ -68,7 +68,7 @@ def test_interval_invariants():
     assert not iv.lo <= dyadic(-1) <= iv.hi
     assert iv.lo <= ZERO <= iv.hi and not ZERO < iv.lo
     pt = Interval(ONE, ONE)
-    assert (pt.hi - pt.lo).is_zero()
+    assert pt.hi - pt.lo == ZERO
 
 
 def test_one_interval_class_and_no_import_per_call():
